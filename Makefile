@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race test-race test-faults verify ripple-vet vet-sarif staticcheck govulncheck lint tools bench bench-smoke bench-smoke-storage bench-smoke-cache bench-smoke-plan bench-smoke-recovery bench-json bench-recovery bench-storage bench-cache bench-plan examples results results-paper trace-demo clean
+.PHONY: all build test race test-race test-faults fuzz-smoke verify ripple-vet vet-sarif staticcheck govulncheck lint tools bench bench-smoke bench-smoke-storage bench-smoke-cache bench-smoke-plan bench-smoke-recovery bench-json bench-recovery bench-storage bench-cache bench-plan examples results results-paper trace-demo clean
 
 all: build test
 
@@ -45,6 +45,22 @@ test-faults:
 			echo "== fault matrix: -race -shuffle=$$seed RIPPLE_STORAGE=$$eng =="; \
 			RIPPLE_STORAGE=$$eng $(GO) test -race -shuffle=$$seed -run $(FAULT_TESTS) $(FAULT_PKGS) || exit 1; \
 		done; \
+	done
+
+# Fuzz smoke: each Fuzz* target replays its committed seed corpus
+# (testdata/fuzz) and then fuzzes new inputs for a short fixed budget.
+# `go test -fuzz` takes one target per run, so targets are listed as
+# package:function. CI runs a longer budget in its own step.
+FUZZ_TIME    ?= 5s
+FUZZ_TARGETS = ./internal/wire:FuzzReadMessage ./internal/wire:FuzzReadMuxFrame \
+               ./internal/wire:FuzzTopKCodec ./internal/wire:FuzzKNNCodec \
+               ./internal/wire:FuzzSkylineCodec ./internal/wire:FuzzDiversifyCodec \
+               ./internal/cache:FuzzDecodeAnswers
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "== fuzz $$t for $(FUZZ_TIME)"; \
+		$(GO) test -run=NONE -fuzz="^$${t#*:}\$$" -fuzztime=$(FUZZ_TIME) -parallel=2 $${t%%:*} || exit 1; \
 	done
 
 # ripple-vet: the repository's own invariant checker (internal/lint). It
@@ -90,9 +106,9 @@ tools:
 lint: ripple-vet staticcheck govulncheck
 
 # The full pre-merge gate: build + go vet + ripple-vet + external linters +
-# shuffled tests + full race sweep + seeded fault matrix + benchmark smoke
-# (every benchmark must still compile and run one iteration).
-verify: build lint test test-race test-faults bench-smoke
+# shuffled tests + full race sweep + seeded fault matrix + fuzz smoke +
+# benchmark smoke (every benchmark must still compile and run one iteration).
+verify: build lint test test-race test-faults fuzz-smoke bench-smoke
 
 # One testing.B benchmark per paper table/figure plus micro-benchmarks.
 bench:

@@ -38,24 +38,36 @@ func EncodeAnswers(ts []dataset.Tuple) []byte {
 	return out
 }
 
+// answerHeader is the fixed part of an encoded tuple: ID plus
+// dimensionality.
+const answerHeader = 8 + 2
+
 // DecodeAnswers parses an EncodeAnswers payload back into tuples (in
-// canonical ID order).
+// canonical ID order). It accepts exactly the payloads EncodeAnswers
+// produces — IDs strictly ascending — and bounds every count by the bytes
+// present before allocating, so a corrupt prefix cannot exhaust memory.
 func DecodeAnswers(b []byte) ([]dataset.Tuple, error) {
 	if len(b) < 4 {
 		return nil, errors.New("cache: truncated answer payload")
 	}
 	n := binary.BigEndian.Uint32(b)
 	b = b[4:]
+	if uint64(n) > uint64(len(b)/answerHeader) {
+		return nil, errors.New("cache: answer count exceeds payload")
+	}
 	out := make([]dataset.Tuple, 0, n)
 	for i := uint32(0); i < n; i++ {
-		if len(b) < 10 {
+		if len(b) < answerHeader {
 			return nil, errors.New("cache: truncated answer tuple")
 		}
 		id := binary.BigEndian.Uint64(b)
 		d := int(binary.BigEndian.Uint16(b[8:]))
-		b = b[10:]
+		b = b[answerHeader:]
 		if len(b) < 8*d {
 			return nil, errors.New("cache: truncated answer vector")
+		}
+		if i > 0 && id <= out[i-1].ID {
+			return nil, errors.New("cache: answer IDs not strictly ascending")
 		}
 		vec := make(geom.Point, d)
 		for j := 0; j < d; j++ {

@@ -1,79 +1,78 @@
 package diversify
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"ripple/internal/core"
 	"ripple/internal/dataset"
-	"ripple/internal/geom"
 	"ripple/internal/wire"
 )
 
 // WireCodec serialises single-tuple diversification queries and states for
 // networked peers; it implements the wire.Codec interface. The query carries
 // the query point, λ, the metric names, the base set O, the exclusion list
-// and the initial threshold; states are the φ threshold.
+// (ascending IDs) and the initial threshold; states are the φ threshold.
 type WireCodec struct{}
-
-type wireParams struct {
-	Q       geom.Point
-	Lambda  float64
-	Dr, Dv  string // "L1" | "L2"
-	Base    []dataset.Tuple
-	Exclude []uint64
-	Tau0    float64
-}
 
 // Name implements wire.Codec.
 func (WireCodec) Name() string { return "diversify" }
 
-var (
-	paramsPool = wire.NewPayloadPool(&wireParams{})
-	phiPool    = wire.NewPayloadPool(new(float64))
-)
-
 // EncodeParams builds the wire descriptor for one single-tuple query.
 func (WireCodec) EncodeParams(q Query, base []dataset.Tuple, exclude map[uint64]bool, tau0 float64) ([]byte, error) {
-	p := wireParams{Q: q.Q, Lambda: q.Lambda, Dr: q.Dr.Name(), Dv: q.Dv.Name(), Base: base, Tau0: tau0}
+	ids := make([]uint64, 0, len(exclude))
 	for id := range exclude {
-		p.Exclude = append(p.Exclude, id)
+		ids = append(ids, id)
 	}
 	// Sort so the wire bytes are a pure function of the query: map iteration
 	// order would otherwise make byte-identical replays impossible.
-	sort.Slice(p.Exclude, func(i, j int) bool { return p.Exclude[i] < p.Exclude[j] })
-	return paramsPool.Encode(&p)
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	b := wire.AppendFloat(wire.AppendFloats(nil, q.Q), q.Lambda)
+	b, err := wire.AppendMetric(b, q.Dr)
+	if err == nil {
+		b, err = wire.AppendMetric(b, q.Dv)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("diversify: %w", err)
+	}
+	b = wire.AppendTuples(b, base)
+	b = wire.AppendUints(b, ids)
+	return wire.AppendFloat(b, tau0), nil
 }
+
+var errExcludeOrder = errors.New("exclusion IDs not strictly ascending")
 
 // NewProcessor implements wire.Codec.
 func (WireCodec) NewProcessor(params []byte) (core.Processor, error) {
-	var p wireParams
-	if err := paramsPool.Decode(params, &p); err != nil {
+	d := wire.NewDecoder(params)
+	var q Query
+	q.Q = d.Floats()
+	q.Lambda = d.Float()
+	q.Dr = d.Metric()
+	q.Dv = d.Metric()
+	base := d.Tuples()
+	ids := d.Uints()
+	tau0 := d.Float()
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			d.Fail(errExcludeOrder)
+		}
+	}
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("diversify: decode params: %w", err)
 	}
-	metric := func(name string) geom.Metric {
-		if name == "L2" {
-			return geom.L2
-		}
-		return geom.L1
-	}
-	exclude := make(map[uint64]bool, len(p.Exclude))
-	for _, id := range p.Exclude {
+	exclude := make(map[uint64]bool, len(ids))
+	for _, id := range ids {
 		exclude[id] = true
 	}
-	return &Processor{
-		Query:   Query{Q: p.Q, Lambda: p.Lambda, Dr: metric(p.Dr), Dv: metric(p.Dv)},
-		Base:    p.Base,
-		Exclude: exclude,
-		Tau0:    p.Tau0,
-	}, nil
+	return &Processor{Query: q, Base: base, Exclude: exclude, Tau0: tau0}, nil
 }
 
 // EncodeState implements wire.Codec: the φ threshold.
 func (WireCodec) EncodeState(s core.State) ([]byte, error) {
-	phi := float64(s.(state))
-	return phiPool.Encode(&phi)
+	return wire.AppendFloat(make([]byte, 0, 8), float64(s.(state))), nil
 }
 
 // DecodeState implements wire.Codec. Empty input yields +Inf (note that the
@@ -83,9 +82,10 @@ func (WireCodec) DecodeState(b []byte) (core.State, error) {
 	if len(b) == 0 {
 		return state(math.Inf(1)), nil
 	}
-	var v float64
-	if err := phiPool.Decode(b, &v); err != nil {
+	d := wire.NewDecoder(b)
+	phi := d.Float()
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("diversify: decode state: %w", err)
 	}
-	return state(v), nil
+	return state(phi), nil
 }

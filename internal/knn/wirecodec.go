@@ -10,28 +10,9 @@ import (
 )
 
 // WireCodec serialises kNN queries and states for networked peers; it
-// implements the wire.Codec interface. The metric travels as its canonical
-// name ("L1"/"L2"), so encodings are deterministic and ripple-vet clean.
+// implements the wire.Codec interface. Params are K, the center and the
+// metric's canonical name ("L1"/"L2"); a state is the (m, ρ) pair.
 type WireCodec struct{}
-
-// wireParams is the on-wire query descriptor.
-type wireParams struct {
-	K      int
-	Center geom.Point
-	Metric string // "L1" | "L2"
-}
-
-// stateWire is the on-wire (m, ρ) pair, flat so the pooled gob path is
-// allocation-free (see internal/wire/pool.go).
-type stateWire struct {
-	M   int
-	Rho float64
-}
-
-var (
-	paramsPool = wire.NewPayloadPool(&wireParams{})
-	statePool  = wire.NewPayloadPool(&stateWire{})
-)
 
 // Name implements wire.Codec.
 func (WireCodec) Name() string { return "knn" }
@@ -39,33 +20,46 @@ func (WireCodec) Name() string { return "knn" }
 // EncodeParams builds the wire descriptor for a query. A nil metric encodes
 // as Euclidean.
 func (WireCodec) EncodeParams(center geom.Point, k int, m geom.Metric) ([]byte, error) {
-	name := "L2"
-	if m != nil {
-		name = m.Name()
+	if m == nil {
+		m = geom.L2
 	}
-	if name != "L1" && name != "L2" {
-		return nil, fmt.Errorf("knn: metric %q not wire-encodable", name)
+	b, err := wire.AppendMetric(wire.AppendFloats(wire.AppendInt(nil, k), center), m)
+	if err != nil {
+		return nil, fmt.Errorf("knn: %w", err)
 	}
-	return paramsPool.Encode(&wireParams{K: k, Center: center, Metric: name})
+	return b, nil
 }
 
 // NewProcessor implements wire.Codec.
 func (WireCodec) NewProcessor(params []byte) (core.Processor, error) {
-	var p wireParams
-	if err := paramsPool.Decode(params, &p); err != nil {
+	d := wire.NewDecoder(params)
+	k := d.Int()
+	center := d.Floats()
+	p := &Processor{Center: center, K: k, Metric: d.Metric()}
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("knn: decode params: %w", err)
 	}
-	m := geom.Metric(geom.L2)
-	if p.Metric == "L1" {
-		m = geom.L1
-	}
-	return &Processor{Center: p.Center, K: p.K, Metric: m}, nil
+	return p, nil
+}
+
+// maxStateSize bounds an encoded state: a zigzag varint plus a float.
+const maxStateSize = 10 + 8
+
+// appendState appends the (m, ρ) pair.
+func appendState(b []byte, st state) []byte {
+	return wire.AppendFloat(wire.AppendInt(b, st.m), st.rho)
+}
+
+// decodeState parses a non-empty state payload.
+func decodeState(b []byte) (state, error) {
+	d := wire.NewDecoder(b)
+	st := state{m: d.Int(), rho: d.Float()}
+	return st, d.Finish()
 }
 
 // EncodeState implements wire.Codec: the (m, ρ) pair.
 func (WireCodec) EncodeState(s core.State) ([]byte, error) {
-	st := s.(state)
-	return statePool.Encode(&stateWire{M: st.m, Rho: st.rho})
+	return appendState(make([]byte, 0, maxStateSize), s.(state)), nil
 }
 
 // DecodeState implements wire.Codec. Empty input yields the neutral state.
@@ -73,9 +67,9 @@ func (WireCodec) DecodeState(b []byte) (core.State, error) {
 	if len(b) == 0 {
 		return state{m: 0, rho: math.Inf(-1)}, nil
 	}
-	var st stateWire
-	if err := statePool.Decode(b, &st); err != nil {
+	st, err := decodeState(b)
+	if err != nil {
 		return nil, fmt.Errorf("knn: decode state: %w", err)
 	}
-	return state{m: st.M, rho: st.Rho}, nil
+	return st, nil
 }

@@ -37,3 +37,16 @@ func UseAfterPut() int {
 	bufPool.Put(b)
 	return len(*b) // want `pooled value "b" used after being returned to the pool`
 }
+
+// WriteFrame is the wire codec's frame-assembly shape with the release
+// forgotten on the write-error path.
+func WriteFrame(write func([]byte) error, body []byte) error {
+	bp := bufPool.Get().(*[]byte) // want `pooled value "bp" is not returned to the pool on every path`
+	buf := append((*bp)[:0], body...)
+	if err := write(buf); err != nil {
+		return err
+	}
+	*bp = buf[:0]
+	bufPool.Put(bp)
+	return nil
+}

@@ -40,3 +40,22 @@ func HandOff() *[]byte {
 	b := bufPool.Get().(*[]byte)
 	return b
 }
+
+// putFrameBuf is a size-capped releaser: oversized buffers go to the
+// garbage collector instead of pinning memory in the pool.
+func putFrameBuf(b *[]byte) {
+	if cap(*b) <= 1<<20 {
+		bufPool.Put(b)
+	}
+}
+
+// WriteFrame is the wire codec's frame-assembly shape: the deferred
+// releaser covers every path.
+func WriteFrame(write func([]byte) error, body []byte) error {
+	bp := bufPool.Get().(*[]byte)
+	defer putFrameBuf(bp)
+	buf := append((*bp)[:0], body...)
+	err := write(buf)
+	*bp = buf[:0]
+	return err
+}

@@ -1,25 +1,34 @@
-// Package fixture routes map-iteration order into an encoder: the taint
-// survives a local re-assignment, which is exactly what the syntactic
-// determinism matcher cannot see.
+// Package fixture routes map-iteration order into the wire encoders: the
+// taint survives a local re-assignment and a struct-field store, which is
+// exactly what the syntactic determinism matcher cannot see.
 package fixture
 
-import (
-	"bytes"
-	"encoding/gob"
-)
+import "ripple/internal/wire"
 
 // Encode serialises map keys in whatever order Go iterates them.
-func Encode(m map[string]int) ([]byte, error) {
-	var keys []string
+func Encode(m map[uint64]bool) []byte {
+	var keys []uint64
 	for k := range m {
 		keys = append(keys, k)
 	}
-	names := keys
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(names); err != nil { // want `"names" carries map-iteration order into gob\.Encoder\.Encode`
-		return nil, err
+	ids := keys
+	return wire.AppendUints(nil, ids) // want `"ids" carries map-iteration order into wire\.AppendUints`
+}
+
+type params struct {
+	Tau     float64
+	Exclude []uint64
+}
+
+// EncodeParams is the diversification exclusion list before it was sorted:
+// the map order reaches the encoder through a struct field.
+func EncodeParams(exclude map[uint64]bool, tau float64) []byte {
+	p := params{Tau: tau}
+	for id := range exclude {
+		p.Exclude = append(p.Exclude, id)
 	}
-	return buf.Bytes(), nil
+	b := wire.AppendFloat(nil, p.Tau)
+	return wire.AppendUints(b, p.Exclude) // want `"Exclude" carries map-iteration order into wire\.AppendUints`
 }
 
 // CanonicalForm is a canonical-form builder by naming convention: feeding it

@@ -1,6 +1,7 @@
 package netpeer
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"time"
@@ -180,8 +181,9 @@ func (c *Client) muxTransport() (mc *muxConn, reused bool, err error) {
 	ver, err := muxHandshake(conn, c.timeout)
 	if err != nil {
 		conn.Close()
-		if isTimeout(err) {
-			return nil, false, err // hung remote, not a legacy one
+		var verr *wire.VersionError
+		if isTimeout(err) || errors.As(err, &verr) {
+			return nil, false, err // hung or older-codec remote, not a legacy one
 		}
 		c.legacy = true // pre-mux remote dropped the hello
 		return nil, false, nil

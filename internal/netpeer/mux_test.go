@@ -507,3 +507,56 @@ func BenchmarkMuxThroughputC64(b *testing.B) { benchThroughput(b, 64, false) }
 func BenchmarkSeqThroughputC1(b *testing.B)  { benchThroughput(b, 1, true) }
 func BenchmarkSeqThroughputC8(b *testing.B)  { benchThroughput(b, 8, true) }
 func BenchmarkSeqThroughputC64(b *testing.B) { benchThroughput(b, 64, true) }
+
+// TestMuxVersionOneRejectedBothWays: version 1 framed gob bodies. A client
+// acked version 1 fails with the named *wire.VersionError instead of
+// falling back to the sequential protocol, and a server offered version 1
+// drops the connection without acking.
+func TestMuxVersionOneRejectedBothWays(t *testing.T) {
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, err := wire.ReadMuxHello(conn); err == nil {
+				_ = wire.WriteMuxHello(conn, 1) // the client judges the ack
+			}
+			conn.Close()
+		}
+	}()
+	c := NewClient(ln.Addr().String(), 2*time.Second)
+	defer c.Close()
+	_, _, err = c.Query("topk", topkParams(t, 2, 1), 2, 0)
+	var verr *wire.VersionError
+	if !errors.As(err, &verr) || verr.Version != 1 {
+		t.Fatalf("query against a version-1 peer: err = %v, want *wire.VersionError", err)
+	}
+	c.mu.Lock()
+	legacy := c.legacy
+	c.mu.Unlock()
+	if legacy {
+		t.Fatal("client fell back to the sequential protocol on a version-1 ack")
+	}
+
+	srv := slowServer(t, nil, 0, 2, 2)
+	conn, err := gonet.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteMuxHello(conn, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if ver, err := wire.ReadMuxHello(conn); err == nil {
+		t.Fatalf("server acked a version-1 hello with %d", ver)
+	}
+}

@@ -10,6 +10,7 @@ package netpeer
 // per logical call are exactly the legacy ones.
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -84,7 +85,7 @@ func (m *muxConn) deregister(id uint32) {
 
 // writeFrame sends one tagged frame under the write deadline. Writes from
 // concurrent streams interleave at frame granularity, never within a frame.
-func (m *muxConn) writeFrame(id uint32, msg interface{}) error {
+func (m *muxConn) writeFrame(id uint32, msg wire.Message) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	if err := m.conn.SetWriteDeadline(time.Now().Add(m.writeTimeout)); err != nil {
@@ -334,7 +335,9 @@ func (s *Server) muxFor(addr string) (mc *muxConn, legacy bool, err error) {
 // on a version-0 ack the half-used connection is handed to the legacy pool,
 // since the sequential protocol continues on it. A handshake timeout is
 // surfaced as a retryable error — a hung peer is not evidence of a legacy
-// one.
+// one — and so is an ack naming an older codec version (*wire.VersionError):
+// falling back to the sequential protocol would only trade it for a decode
+// error.
 //
 //ripplevet:transport
 func (s *Server) dialMux(addr string, e *muxEntry) (*muxConn, bool, error) {
@@ -346,8 +349,9 @@ func (s *Server) dialMux(addr string, e *muxEntry) (*muxConn, bool, error) {
 		e.err = err
 	} else {
 		ver, herr := muxHandshake(conn, s.opts.DialTimeout)
+		var verr *wire.VersionError
 		switch {
-		case herr != nil && isTimeout(herr):
+		case herr != nil && (isTimeout(herr) || errors.As(herr, &verr)):
 			conn.Close()
 			e.err = herr
 		case herr != nil:

@@ -44,6 +44,10 @@ type muxOut struct {
 func (s *Server) serveMux(conn net.Conn, cr *countingReader) {
 	ver, err := wire.ReadMuxVersion(cr) // still under the sniff's read deadline
 	if err != nil {
+		var verr *wire.VersionError
+		if errors.As(err, &verr) {
+			s.opts.Logf("netpeer %s: dropping connection from %s: %v", s.cfg.ID, conn.RemoteAddr(), err)
+		}
 		return
 	}
 	ack := uint32(wire.MuxVersion)

@@ -12,13 +12,8 @@ import (
 // WireCodec serialises skyline queries and states for networked peers; it
 // implements the wire.Codec interface. A full-space skyline query carries no
 // parameters; a constrained query carries its constraint box. States are
-// partial skylines (tuple sets).
+// partial skylines (tuple lists).
 type WireCodec struct{}
-
-var (
-	boxPool   = wire.NewPayloadPool(&geom.Rect{})
-	tuplePool = wire.NewPayloadPool(&[]dataset.Tuple{})
-)
 
 // Name implements wire.Codec.
 func (WireCodec) Name() string { return "skyline" }
@@ -29,7 +24,7 @@ func (WireCodec) EncodeParams(constraint *geom.Rect) ([]byte, error) {
 	if constraint == nil {
 		return nil, nil
 	}
-	return boxPool.Encode(constraint)
+	return wire.AppendRect(nil, *constraint), nil
 }
 
 // NewProcessor implements wire.Codec.
@@ -37,8 +32,9 @@ func (WireCodec) NewProcessor(params []byte) (core.Processor, error) {
 	if len(params) == 0 {
 		return &Processor{}, nil
 	}
-	var box geom.Rect
-	if err := boxPool.Decode(params, &box); err != nil {
+	d := wire.NewDecoder(params)
+	box := d.Rect()
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("skyline: decode constraint: %w", err)
 	}
 	return &Processor{Constraint: &box}, nil
@@ -46,8 +42,7 @@ func (WireCodec) NewProcessor(params []byte) (core.Processor, error) {
 
 // EncodeState implements wire.Codec.
 func (WireCodec) EncodeState(s core.State) ([]byte, error) {
-	ts := []dataset.Tuple(s.(state))
-	return tuplePool.Encode(&ts)
+	return wire.AppendTuples(nil, []dataset.Tuple(s.(state))), nil
 }
 
 // DecodeState implements wire.Codec. Empty input yields the neutral state.
@@ -55,8 +50,9 @@ func (WireCodec) DecodeState(b []byte) (core.State, error) {
 	if len(b) == 0 {
 		return state(nil), nil
 	}
-	var ts []dataset.Tuple
-	if err := tuplePool.Decode(b, &ts); err != nil {
+	d := wire.NewDecoder(b)
+	ts := d.Tuples()
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("skyline: decode state: %w", err)
 	}
 	return state(ts), nil

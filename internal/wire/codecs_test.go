@@ -1,17 +1,17 @@
-// External test package: the query codec packages import wire for payload
-// pooling, so these cross-package round-trip tests must sit outside package
-// wire to avoid an import cycle in the test binary.
+// External test package: the query codec packages import wire for its
+// encoding primitives, so these cross-package round-trip tests must sit
+// outside package wire to avoid an import cycle in the test binary.
 package wire_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 
 	"ripple/internal/dataset"
 	"ripple/internal/diversify"
 	"ripple/internal/geom"
+	"ripple/internal/knn"
 	"ripple/internal/skyline"
 	"ripple/internal/topk"
 	"ripple/internal/wire"
@@ -22,6 +22,7 @@ var (
 	_ wire.Codec = topk.WireCodec{}
 	_ wire.Codec = skyline.WireCodec{}
 	_ wire.Codec = diversify.WireCodec{}
+	_ wire.Codec = knn.WireCodec{}
 )
 
 func TestTopKCodecRoundTrip(t *testing.T) {
@@ -101,9 +102,10 @@ func mustFloat(c diversify.WireCodec, s interface{}) float64 {
 	if string(b) != string(b2) {
 		panic("unstable state round trip")
 	}
-	var v float64
-	// decode the gob float directly for the assertion
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
+	// decode the float directly for the assertion
+	d := wire.NewDecoder(b)
+	v := d.Float()
+	if err := d.Finish(); err != nil {
 		panic(err)
 	}
 	return v

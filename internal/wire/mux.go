@@ -1,12 +1,12 @@
-// Multiplexed framing: protocol version 1 of the peer transport.
+// Multiplexed framing: protocol version 2 of the peer transport.
 //
 // A legacy connection carries strictly alternating call/reply frames, each a
-// 4-byte length prefix plus a gob body, so one slow call head-of-line-blocks
+// 4-byte length prefix plus a body, so one slow call head-of-line-blocks
 // everything behind it. A mux connection interleaves many logical calls: the
 // client opens it with an 8-byte hello (magic + highest supported version),
 // the server answers with the same shape carrying the negotiated version,
-// and from then on every frame is {stream ID, length, gob body}. Replies
-// come back tagged with the stream they answer, in whatever order subtrees
+// and from then on every frame is {stream ID, length, body}. Replies come
+// back tagged with the stream they answer, in whatever order subtrees
 // complete.
 //
 // The magic is chosen above MaxFrame, so the first four bytes of a
@@ -14,13 +14,13 @@
 // length prefix is a legacy frame, the magic is a hello. A pre-mux server
 // reading the hello as a length prefix rejects it as oversized and drops the
 // connection, which the client takes as "legacy peer" and retries with the
-// old framing — mixed fleets keep working. A mux-aware server with
-// multiplexing disabled acks version 0, meaning "continue sequentially on
-// this same connection".
+// old framing. A mux-aware server with multiplexing disabled acks version 0,
+// meaning "continue sequentially on this same connection".
 //
-// Frame bodies use the same pooled gob encoding as the legacy path, so the
-// payload bytes of a message are identical under either framing; only the
-// header differs.
+// Version 1 carried gob bodies; version 2 carries the binary codec of
+// codec.go. The two cannot decode each other, so a hello or ack naming
+// version 1 fails with a *VersionError instead of a later decode error.
+// Frame bodies are the same under either framing; only the header differs.
 package wire
 
 import (
@@ -35,10 +35,29 @@ import (
 // with a real legacy length prefix.
 const muxMagic = 0x52504C58
 
-// MuxVersion is the highest mux protocol version this build speaks. The
-// server acks the minimum of its own and the client's version; an ack of 0
-// means "sequential protocol on this connection".
-const MuxVersion = 1
+// MuxVersion is the mux protocol version this build speaks. The server acks
+// the minimum of its own and the client's version; an ack of 0 means
+// "sequential protocol on this connection".
+const MuxVersion = 2
+
+// VersionError reports a hello or ack naming a protocol version whose frame
+// bodies this build cannot decode (1..MuxVersion-1: gob bodies).
+type VersionError struct {
+	Version uint32
+}
+
+// Error implements error.
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("wire: peer speaks mux version %d, this build needs %d", e.Version, MuxVersion)
+}
+
+// checkVersion rejects the versions below MuxVersion other than 0.
+func checkVersion(v uint32) (uint32, error) {
+	if v != 0 && v < MuxVersion {
+		return v, &VersionError{Version: v}
+	}
+	return v, nil
+}
 
 // IsMuxPrefix reports whether four bytes read as a legacy length prefix are
 // actually the opening of a mux hello.
@@ -57,7 +76,8 @@ func WriteMuxHello(w io.Writer, version uint32) error {
 	return nil
 }
 
-// ReadMuxHello reads a full hello/ack and returns its version.
+// ReadMuxHello reads a full hello/ack and returns its version; a version
+// this build cannot decode is a *VersionError.
 func ReadMuxHello(r io.Reader) (uint32, error) {
 	var b [8]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -66,67 +86,38 @@ func ReadMuxHello(r io.Reader) (uint32, error) {
 	if binary.BigEndian.Uint32(b[:4]) != muxMagic {
 		return 0, fmt.Errorf("wire: not a mux hello")
 	}
-	return binary.BigEndian.Uint32(b[4:]), nil
+	return checkVersion(binary.BigEndian.Uint32(b[4:]))
 }
 
 // ReadMuxVersion reads the version word of a hello whose magic the caller
 // already consumed (the server sniffs the first four bytes to tell mux from
-// legacy traffic).
+// legacy traffic). Like ReadMuxHello it rejects old versions.
 func ReadMuxVersion(r io.Reader) (uint32, error) {
 	var b [4]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint32(b[:]), nil
+	return checkVersion(binary.BigEndian.Uint32(b[:]))
 }
 
-// WriteMuxFrame frames and writes one message on the given stream. Like
-// WriteMessage it reuses pooled codec state and issues a single Write, so
-// concurrent writers need only serialise the call itself.
-func WriteMuxFrame(w io.Writer, stream uint32, msg interface{}) error {
-	bp := framePool.Get().(*[]byte)
-	defer putFrameBuf(bp)
-	buf := append((*bp)[:0], 0, 0, 0, 0, 0, 0, 0, 0) // stream + length, patched below
-	buf, err := poolFor(msg).appendEncode(buf, msg)
-	if err != nil {
-		*bp = buf[:0]
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	binary.BigEndian.PutUint32(buf[:4], stream)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(buf)-8))
-	_, err = w.Write(buf)
-	*bp = buf[:0]
-	if err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
+// WriteMuxFrame frames and writes one message on the given stream.
+func WriteMuxFrame(w io.Writer, stream uint32, msg Message) error {
+	var head [4]byte
+	binary.BigEndian.PutUint32(head[:], stream)
+	return writeFrame(w, head[:], msg)
 }
 
 // ReadMuxFrame reads one mux frame into msg and returns its stream ID. On a
 // *FrameSizeError the stream ID is still valid — the body is unread, so the
 // connection cannot be resynchronised, but the server can report the
 // rejection on the offending stream before dropping the connection.
-func ReadMuxFrame(r io.Reader, msg interface{}) (uint32, error) {
+func ReadMuxFrame(r io.Reader, msg Message) (uint32, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, err // io.EOF signals a cleanly closed connection
 	}
 	stream := binary.BigEndian.Uint32(hdr[:4])
-	n := binary.BigEndian.Uint32(hdr[4:])
-	if n > MaxFrame {
-		return stream, &FrameSizeError{Size: n}
-	}
-	bp := framePool.Get().(*[]byte)
-	defer putFrameBuf(bp)
-	body, err := readFrameBody(r, int(n), (*bp)[:0])
-	*bp = body[:0]
-	if err != nil {
-		return stream, fmt.Errorf("wire: read body: %w", err)
-	}
-	if err := poolFor(msg).decode(body, msg); err != nil {
-		return stream, fmt.Errorf("wire: decode: %w", err)
-	}
-	return stream, nil
+	return stream, readBody(r, binary.BigEndian.Uint32(hdr[4:]), msg)
 }
 
 // OverloadedPrefix marks a Reply.Error produced by the server's admission

@@ -171,3 +171,27 @@ func TestOverloadedClassification(t *testing.T) {
 		t.Fatal("processing error misclassified as overload")
 	}
 }
+
+// A hello or ack naming version 1 announces gob frame bodies, which this
+// build cannot decode: it fails with a named error up front. Version 0 (the
+// sequential protocol) and versions at or above MuxVersion pass.
+func TestMuxHelloRejectsOldVersion(t *testing.T) {
+	for ver := uint32(0); ver <= MuxVersion+1; ver++ {
+		var buf bytes.Buffer
+		if err := WriteMuxHello(&buf, ver); err != nil {
+			t.Fatal(err)
+		}
+		_, helloErr := ReadMuxHello(bytes.NewReader(buf.Bytes()))
+		_, versionErr := ReadMuxVersion(bytes.NewReader(buf.Bytes()[4:]))
+		for _, err := range []error{helloErr, versionErr} {
+			var verr *VersionError
+			old := ver != 0 && ver < MuxVersion
+			if errors.As(err, &verr) != old || (old && verr.Version != ver) {
+				t.Fatalf("version %d: err = %v", ver, err)
+			}
+			if !old && err != nil {
+				t.Fatalf("version %d rejected: %v", ver, err)
+			}
+		}
+	}
+}

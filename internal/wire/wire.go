@@ -1,8 +1,8 @@
 // Package wire defines the message format RIPPLE peers exchange when they
-// run over a real transport (see internal/netpeer): a length-prefixed gob
-// envelope carrying the query descriptor, the propagated global state, the
-// restriction area and the ripple parameter downstream, and local states,
-// answer tuples and cost counters upstream.
+// run over a real transport (see internal/netpeer): a length-prefixed
+// binary envelope (codec.go) carrying the query descriptor, the propagated
+// global state, the restriction area and the ripple parameter downstream,
+// and local states, answer tuples and cost counters upstream.
 //
 // Query-type specifics (parameters and state payloads) are opaque byte
 // blobs produced by a per-type Codec, so new query types plug into the wire
@@ -10,16 +10,14 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"ripple/internal/core"
 	"ripple/internal/dataset"
-	"ripple/internal/geom"
 	"ripple/internal/overlay"
 	"ripple/internal/trace"
 )
@@ -36,9 +34,8 @@ type Codec interface {
 }
 
 // Mutation operations carried by Call.Op. An empty Op marks a query call;
-// the constants below select the wire-level data-mutation path (v1, added
-// with the result cache of DESIGN.md §15 — gob omits zero-valued fields, so
-// query calls encode exactly as they did before the fields existed).
+// the constants below select the wire-level data-mutation path added with
+// the result cache of DESIGN.md §15.
 const (
 	OpInsert = "insert"
 	OpDelete = "delete"
@@ -137,8 +134,7 @@ type Reply struct {
 	// the call arrived with r = RAuto and the peer ran a planner: PlanR is the
 	// ripple parameter the query actually executed with and Plan its rendered
 	// decision ("fast", "ripple(2)", ...). Both are zero-valued for static
-	// calls, so — gob omitting zero fields — the reply encodes exactly as it
-	// did before the fields existed.
+	// calls.
 	Plan  string
 	PlanR int
 	// Acks counts the peers that applied a mutation call: the owner plus
@@ -172,11 +168,131 @@ func (r *Reply) RecordLostLink(region overlay.Region, timedOut bool) {
 	r.FailedRegions = append(r.FailedRegions, region)
 }
 
-func init() {
-	gob.Register(geom.Point{})
-	gob.Register(geom.Rect{})
-	gob.Register(overlay.Region{})
-	gob.Register(dataset.Tuple{})
+// Message is a frame body: *Call or *Reply. Fields are encoded in
+// declaration order with the codec of codec.go.
+type Message interface {
+	appendTo(b []byte) []byte
+	decode(d *Decoder)
+}
+
+func (c *Call) appendTo(b []byte) []byte {
+	b = AppendString(b, c.QueryType)
+	b = AppendBytes(b, c.Params)
+	b = AppendBytes(b, c.Global)
+	b = AppendRegion(b, c.Restrict)
+	b = AppendInt(b, c.R)
+	b = AppendInt(b, c.Hops)
+	b = AppendRegion(b, c.Scope)
+	b = AppendString(b, c.Op)
+	b = AppendTuple(b, c.Tuple)
+	b = AppendString(b, c.ActAs)
+	b = AppendBool(b, c.Traced)
+	b = AppendUint(b, c.SpanID)
+	b = AppendUint(b, c.SpanParent)
+	return AppendInt(b, c.SpanDepth)
+}
+
+func (c *Call) decode(d *Decoder) {
+	c.QueryType = d.Str()
+	c.Params = d.Bytes()
+	c.Global = d.Bytes()
+	c.Restrict = d.Region()
+	c.R = d.Int()
+	c.Hops = d.Int()
+	c.Scope = d.Region()
+	c.Op = d.Str()
+	c.Tuple = d.Tuple()
+	c.ActAs = d.Str()
+	c.Traced = d.Bool()
+	c.SpanID = d.Uint()
+	c.SpanParent = d.Uint()
+	c.SpanDepth = d.Int()
+}
+
+func (r *Reply) appendTo(b []byte) []byte {
+	b = appendList(b, r.States, AppendBytes)
+	b = AppendTuples(b, r.Answers)
+	b = AppendInt(b, r.Completion)
+	b = AppendInt(b, r.QueryMsgs)
+	b = AppendInt(b, r.StateMsgs)
+	b = AppendInt(b, r.TuplesSent)
+	b = appendList(b, r.Peers, AppendString)
+	b = AppendString(b, r.Error)
+	b = AppendBool(b, r.Partial)
+	b = appendList(b, r.FailedRegions, AppendRegion)
+	b = AppendInt(b, r.Failures)
+	b = AppendInt(b, r.Retries)
+	b = AppendInt(b, r.TimedOut)
+	b = AppendInt(b, r.Recovered)
+	b = AppendInt(b, r.Failovers)
+	b = appendList(b, r.Spans, appendSpan)
+	b = AppendBool(b, r.CacheHit)
+	b = AppendString(b, r.Plan)
+	b = AppendInt(b, r.PlanR)
+	b = AppendInt(b, r.Acks)
+	return AppendBool(b, r.Forwarded)
+}
+
+func (r *Reply) decode(d *Decoder) {
+	r.States = list(d, 1, (*Decoder).Bytes)
+	r.Answers = d.Tuples()
+	r.Completion = d.Int()
+	r.QueryMsgs = d.Int()
+	r.StateMsgs = d.Int()
+	r.TuplesSent = d.Int()
+	r.Peers = list(d, 1, (*Decoder).Str)
+	r.Error = d.Str()
+	r.Partial = d.Bool()
+	r.FailedRegions = list(d, 1, (*Decoder).Region)
+	r.Failures = d.Int()
+	r.Retries = d.Int()
+	r.TimedOut = d.Int()
+	r.Recovered = d.Int()
+	r.Failovers = d.Int()
+	r.Spans = list(d, minSpanSize, decodeSpan)
+	r.CacheHit = d.Bool()
+	r.Plan = d.Str()
+	r.PlanR = d.Int()
+	r.Acks = d.Int()
+	r.Forwarded = d.Bool()
+}
+
+// minSpanSize is the smallest span encoding: one byte per field.
+const minSpanSize = 14
+
+func appendSpan(b []byte, s trace.Span) []byte {
+	b = AppendUint(b, s.ID)
+	b = AppendUint(b, s.Parent)
+	b = AppendString(b, s.Peer)
+	b = AppendString(b, s.Via)
+	b = AppendRegion(b, s.Region)
+	b = AppendString(b, s.Phase)
+	b = AppendInt(b, s.R)
+	b = AppendInt(b, s.Depth)
+	b = AppendInt(b, s.Arrive)
+	b = AppendInt(b, s.Attempt)
+	b = AppendString(b, s.Outcome)
+	b = AppendInt(b, s.StateTuples)
+	b = AppendInt(b, s.AnswerTuples)
+	return AppendString(b, s.Plan)
+}
+
+func decodeSpan(d *Decoder) (s trace.Span) {
+	s.ID = d.Uint()
+	s.Parent = d.Uint()
+	s.Peer = d.Str()
+	s.Via = d.Str()
+	s.Region = d.Region()
+	s.Phase = d.Str()
+	s.R = d.Int()
+	s.Depth = d.Int()
+	s.Arrive = d.Int()
+	s.Attempt = d.Int()
+	s.Outcome = d.Str()
+	s.StateTuples = d.Int()
+	s.AnswerTuples = d.Int()
+	s.Plan = d.Str()
+	return s
 }
 
 // framePool recycles the frame-assembly and frame-read buffers; frames
@@ -192,20 +308,18 @@ func putFrameBuf(b *[]byte) {
 	}
 }
 
-// WriteMessage frames and writes a gob-encoded message. The encoding reuses
-// pooled codec state (see pool.go) and the frame goes out in a single Write;
-// the bytes are identical to a fresh gob encoder's, message for message.
-func WriteMessage(w io.Writer, msg interface{}) error {
+// writeFrame assembles a frame in a pooled buffer — head (the mux stream
+// word, or nothing), the 4-byte big-endian body length, then msg's body —
+// and issues a single Write, so concurrent writers need only serialise the
+// call itself.
+func writeFrame(w io.Writer, head []byte, msg Message) error {
 	bp := framePool.Get().(*[]byte)
 	defer putFrameBuf(bp)
-	buf := append((*bp)[:0], 0, 0, 0, 0) // length header, patched below
-	buf, err := poolFor(msg).appendEncode(buf, msg)
-	if err != nil {
-		*bp = buf[:0]
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	_, err = w.Write(buf)
+	buf := append(append((*bp)[:0], head...), 0, 0, 0, 0)
+	n := len(buf)
+	buf = msg.appendTo(buf)
+	binary.BigEndian.PutUint32(buf[n-4:n], uint32(len(buf)-n))
+	_, err := w.Write(buf)
 	*bp = buf[:0]
 	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
@@ -213,23 +327,9 @@ func WriteMessage(w io.Writer, msg interface{}) error {
 	return nil
 }
 
-// writeMessageFresh is the pre-pool reference implementation: a fresh
-// encoder and buffer per message. Kept for byte-identity tests and the
-// before/after benchmarks.
-func writeMessageFresh(w io.Writer, msg interface{}) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	var size [4]byte
-	binary.BigEndian.PutUint32(size[:], uint32(buf.Len()))
-	if _, err := w.Write(size[:]); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("wire: write body: %w", err)
-	}
-	return nil
+// WriteMessage frames and writes msg on the sequential protocol.
+func WriteMessage(w io.Writer, msg Message) error {
+	return writeFrame(w, nil, msg)
 }
 
 // MaxFrame bounds a single message; queries and states are small, answers
@@ -256,50 +356,24 @@ func (e *FrameSizeError) Error() string {
 const frameChunk = 1 << 20
 
 // readFrameBody reads an n-byte frame body into buf (reused from the frame
-// pool), growing it incrementally so allocation tracks arrival.
+// pool), growing it at most one chunk ahead of the bytes received.
 func readFrameBody(r io.Reader, n int, buf []byte) ([]byte, error) {
-	if n <= frameChunk || cap(buf) >= n {
-		if cap(buf) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
 	buf = buf[:0]
 	for len(buf) < n {
-		step := n - len(buf)
-		if step > frameChunk {
-			step = frameChunk
-		}
-		next := len(buf) + step
-		if cap(buf) < next {
-			// Doubling keeps total copying linear in n.
-			newCap := 2 * cap(buf)
-			if newCap < next {
-				newCap = next
-			}
-			if newCap > n {
-				newCap = n
-			}
-			grown := make([]byte, next, newCap)
-			copy(grown, buf)
-			buf = grown
-		} else {
-			buf = buf[:next]
-		}
-		if _, err := io.ReadFull(r, buf[next-step:]); err != nil {
+		next := len(buf) + min(n-len(buf), frameChunk)
+		buf = slices.Grow(buf, next-len(buf)) // amortised doubling: copying stays linear in n
+		if _, err := io.ReadFull(r, buf[len(buf):next]); err != nil {
 			return buf, err
 		}
+		buf = buf[:next]
 	}
 	return buf, nil
 }
 
-// ReadMessage reads one framed message into msg, reusing pooled frame
-// buffers and decoder state. msg must be a pointer to a zero value: gob
-// leaves fields absent from the stream untouched. A length prefix beyond
-// MaxFrame returns a *FrameSizeError without attempting the allocation.
-func ReadMessage(r io.Reader, msg interface{}) error {
+// ReadMessage reads one framed message into msg, overwriting every field.
+// A length prefix beyond MaxFrame returns a *FrameSizeError without
+// attempting the allocation.
+func ReadMessage(r io.Reader, msg Message) error {
 	var size [4]byte
 	if _, err := io.ReadFull(r, size[:]); err != nil {
 		return err // io.EOF signals a cleanly closed connection
@@ -311,8 +385,13 @@ func ReadMessage(r io.Reader, msg interface{}) error {
 // 4-byte length prefix itself — the netpeer server sniffs the first four
 // bytes of a connection to dispatch between the sequential and multiplexed
 // protocols (see mux.go) and hands the prefix back here.
-func ReadMessageBody(r io.Reader, prefix [4]byte, msg interface{}) error {
-	n := binary.BigEndian.Uint32(prefix[:])
+func ReadMessageBody(r io.Reader, prefix [4]byte, msg Message) error {
+	return readBody(r, binary.BigEndian.Uint32(prefix[:]), msg)
+}
+
+// readBody reads an n-byte frame body into a pooled buffer and decodes msg
+// from it; the decoded values copy out of the buffer before it is reused.
+func readBody(r io.Reader, n uint32, msg Message) error {
 	if n > MaxFrame {
 		return &FrameSizeError{Size: n}
 	}
@@ -323,29 +402,21 @@ func ReadMessageBody(r io.Reader, prefix [4]byte, msg interface{}) error {
 	if err != nil {
 		return fmt.Errorf("wire: read body: %w", err)
 	}
-	if err := poolFor(msg).decode(body, msg); err != nil {
+	if err := decodeMessage(body, msg); err != nil {
 		return fmt.Errorf("wire: decode: %w", err)
 	}
 	return nil
 }
 
-// readMessageFresh is the pre-pool reference implementation, kept for
-// byte-identity tests and the before/after benchmarks.
-func readMessageFresh(r io.Reader, msg interface{}) error {
-	var size [4]byte
-	if _, err := io.ReadFull(r, size[:]); err != nil {
-		return err
+// decodeMessage decodes a whole frame body into msg.
+func decodeMessage(body []byte, msg Message) error {
+	d := Decoder{b: body}
+	// A type switch rather than an interface call keeps d on the stack.
+	switch m := msg.(type) {
+	case *Call:
+		m.decode(&d)
+	case *Reply:
+		m.decode(&d)
 	}
-	n := binary.BigEndian.Uint32(size[:])
-	if n > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return fmt.Errorf("wire: read body: %w", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(msg); err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
+	return d.Finish()
 }

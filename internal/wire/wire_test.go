@@ -87,6 +87,6 @@ func TestReadMessageTruncatedBody(t *testing.T) {
 	}
 }
 
-// The codec round-trip tests live in codecs_test.go (package wire_test): the
-// query packages now import wire for payload pooling, so an in-package test
-// cannot import them back.
+// The query codec round-trip tests live in codecs_test.go (package
+// wire_test): the query packages import wire for its encoding primitives,
+// so an in-package test cannot import them back.
