@@ -126,8 +126,8 @@ BENCH_MIN_NS    = 1000000
 # Run every benchmark a few times: catches benchmarks that rot (fail to
 # compile or panic) and gates the committed hot-path baseline (BENCH_PR5.json)
 # rather than only recording. Three iterations, not one: the first iteration
-# of a fleet benchmark carries connection/pool warmup that a single-shot
-# measurement cannot amortize. BENCH_PR6.json is figure-shaped, not a flat
+# of a fleet benchmark carries warmup (first dials and handshakes, cold
+# caches) that a single-shot measurement cannot amortize. BENCH_PR6.json is figure-shaped, not a flat
 # benchmark table, and is regenerated by bench-recovery instead.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=3x ./... | \

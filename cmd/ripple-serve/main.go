@@ -51,7 +51,6 @@ func main() {
 	recoveryBudget := flag.Duration("recovery-budget", def.RecoveryBudget, "server mode: wall-clock cap on replica failovers per processed call (replicated deployments)")
 	maxConcurrent := flag.Int("max-concurrent-calls", def.MaxConcurrentCalls, "server mode: calls processed at once per multiplexed connection")
 	maxQueue := flag.Int("max-call-queue", def.MaxCallQueue, "server mode: admitted calls that may wait for a worker before admission control rejects")
-	disableMux := flag.Bool("disable-mux", false, "server mode: refuse stream multiplexing and serve the sequential one-call-per-connection protocol")
 	faultDrop := flag.Float64("fault-drop", 0, "server mode: injected per-RPC drop probability (testing)")
 	faultCrash := flag.Float64("fault-crash", 0, "server mode: injected perform-then-lose-reply probability (testing)")
 	faultDelayRate := flag.Float64("fault-delay-rate", 0, "server mode: injected per-RPC delay probability (testing)")
@@ -85,7 +84,6 @@ func main() {
 	opts.RecoveryBudget = *recoveryBudget
 	opts.MaxConcurrentCalls = *maxConcurrent
 	opts.MaxCallQueue = *maxQueue
-	opts.DisableMux = *disableMux
 	opts.CacheSize = *cacheSize
 	opts.CacheTTL = *cacheTTL
 	if *faultDrop > 0 || *faultCrash > 0 || *faultDelayRate > 0 {

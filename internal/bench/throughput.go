@@ -14,43 +14,39 @@ import (
 	"ripple/internal/topk"
 )
 
-// throughputWindow is how long each (transport, concurrency) cell measures.
-// Long enough that hundreds of queries complete even on the serialised
-// baseline; short enough that the whole sweep stays interactive.
+// throughputWindow is how long each concurrency cell measures: long enough
+// that hundreds of queries complete even at concurrency 1, short enough that
+// the whole sweep stays interactive.
 const throughputWindow = 400 * time.Millisecond
 
 // throughputDelay is the injected wall-clock stall per inter-peer RPC. On
 // loopback an RPC costs microseconds, so an undelayed sweep would measure
 // CPU dispatch, not transport behaviour; the delay restores the property
 // that matters on a real network — a query spends most of its life waiting
-// on links — and the transports differ exactly in how much of that waiting
-// they overlap across concurrent queries.
+// on links — and the sweep shows how much of that waiting the transport
+// overlaps across concurrent queries.
 const throughputDelay = 500 * time.Microsecond
 
 // Throughput measures aggregate query throughput and tail latency of a real
-// loopback deployment as client concurrency grows, comparing the
-// multiplexed transport against the sequential one-call-per-connection
-// protocol it replaced. One warm client is shared by all workers of a cell,
-// so the sweep isolates what the transport does with concurrent calls:
-// multiplexing interleaves them as streams on one connection, the
-// sequential protocol serialises them.
+// loopback deployment as client concurrency grows. One warm client is shared
+// by all workers of a cell, so the sweep isolates what the multiplexed
+// transport does with concurrent calls: it interleaves them as streams on
+// one connection.
 func Throughput(cfg Config) *Result {
 	res := &Result{
 		Fig:    "Throughput",
 		Title:  "aggregate throughput vs client concurrency (loopback TCP, 8 peers, 0.5ms link delay)",
 		XLabel: "concurrency",
-		Series: []string{"ripple-mux", "sequential"},
+		Series: []string{"ripple-mux"},
 
 		MetricA: "throughput (queries/s)",
 		MetricB: "p95 latency (ms)",
 	}
-	mux := throughputSeries(cfg.Concurrency, false)
-	seq := throughputSeries(cfg.Concurrency, true)
-	for i, conc := range cfg.Concurrency {
+	for i, cell := range throughputSeries(cfg.Concurrency) {
 		res.Rows = append(res.Rows, Row{
-			X:          fmt.Sprintf("%d", conc),
-			Latency:    []float64{mux[i].qps, seq[i].qps},
-			Congestion: []float64{mux[i].p95ms, seq[i].p95ms},
+			X:          fmt.Sprintf("%d", cfg.Concurrency[i]),
+			Latency:    []float64{cell.qps},
+			Congestion: []float64{cell.p95ms},
 		})
 	}
 	return res
@@ -61,14 +57,13 @@ type throughputCell struct {
 	p95ms float64
 }
 
-// throughputSeries deploys one loopback fleet for the given transport and
-// measures every concurrency level against it.
-func throughputSeries(concurrency []int, sequential bool) []throughputCell {
+// throughputSeries deploys one loopback fleet and measures every
+// concurrency level against it.
+func throughputSeries(concurrency []int) []throughputCell {
 	net := midas.Build(8, midas.Options{Dims: 2, Seed: 23})
 	overlay.Load(net, dataset.Uniform(500, 2, 29))
 	opts := netpeer.Options{
-		Logf:       func(string, ...interface{}) {},
-		DisableMux: sequential,
+		Logf: func(string, ...interface{}) {},
 		Faults: faults.New(faults.Config{
 			Seed:      1,
 			DelayRate: 1,
@@ -91,12 +86,7 @@ func throughputSeries(concurrency []int, sequential bool) []throughputCell {
 
 	cells := make([]throughputCell, 0, len(concurrency))
 	for _, conc := range concurrency {
-		var c *netpeer.Client
-		if sequential {
-			c = netpeer.NewSequentialClient(servers[0].Addr(), 0)
-		} else {
-			c = netpeer.NewClient(servers[0].Addr(), 0)
-		}
+		c := netpeer.NewClient(servers[0].Addr(), 0)
 		if _, _, err := c.Query("topk", params, 2, 0); err != nil {
 			panic(err)
 		}

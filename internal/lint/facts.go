@@ -1,7 +1,7 @@
 // Cross-package facts: properties of functions that the flow-sensitive
 // analyzers consult so they can see through helper calls — "putFrameBuf
 // releases its first argument back to a pool", "dropStore invalidates the
-// receiver's lazy store", "connPool.get acquires connPool.mu". Facts are
+// receiver's lazy store", "muxTable.claim acquires muxTable.mu". Facts are
 // computed once over every loaded package (the driver loads the whole target
 // graph in one `go list -export` pass), so an analyzer looking at package A
 // knows what a helper defined in package B does without re-analysing it.
@@ -392,7 +392,7 @@ func recvIsSyncType(fn *types.Func, name string) bool {
 
 // poolLikeType reports whether t (or *t) declares both a Get/get and a
 // Put/put method — the structural signature of an object pool. sync.Pool
-// matches; so do project-local pools like netpeer's connPool. A Get whose
+// matches; so would a project-local pool with get/put methods. A Get whose
 // last result is a comma-ok bool is a lookup (cache.Cache, map wrappers),
 // not a pool acquisition: its result is owned by the caller, never returned.
 func poolLikeType(t types.Type) bool {

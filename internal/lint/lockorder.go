@@ -1,7 +1,7 @@
 // lockorder: whole-program lock-acquisition ordering (DESIGN.md §10.8). The
-// concurrent transport stacks several mutexes — connection pool, mux table,
-// per-connection write locks, server registry — on call paths that cross
-// package boundaries (netpeer pool/mux/server, storage.RTree), where an
+// concurrent transport stacks several mutexes — mux table, per-connection
+// stream table and write lock, server registry — on call paths that cross
+// package boundaries (netpeer mux/server, storage.RTree), where an
 // inconsistent acquisition order is a deadlock that only a rare interleaving
 // exposes. lockcheck (PR 3) guards individual counters; lockorder builds the
 // directed graph "class A held while acquiring class B" over every function

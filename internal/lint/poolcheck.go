@@ -1,6 +1,6 @@
 // poolcheck: flow-sensitive pool hygiene (DESIGN.md §10.6). The wire
-// codec's pooled frame buffers and the netpeer connection pool hand out
-// reusable objects whose loss is invisible at runtime — a dropped frame
+// codec's pooled frame buffers (and any other pool) hand out reusable
+// objects whose loss is invisible at runtime — a dropped frame
 // buffer just means a fresh allocation next time — so the only guard
 // against silently regressing the zero-alloc hot path is static: every
 // value obtained from a pool must, on every path to the function exit,

@@ -1,9 +1,7 @@
 package netpeer
 
 import (
-	"errors"
-	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"ripple/internal/dataset"
@@ -65,24 +63,13 @@ func resultFromReply(reply *wire.Reply, traced bool) *QueryResult {
 }
 
 // Client is an initiator-side handle on one deployment peer that keeps its
-// TCP connection warm across queries, so a workload issuing many queries
-// pays one handshake instead of one per query. The package-level Query
-// functions remain the one-shot path. A Client is safe for concurrent use.
-// By default it negotiates the multiplexed protocol on first use, so
-// concurrent queries share the single connection as independent streams; a
-// remote that only speaks the sequential protocol — or a Client built with
-// NewSequentialClient — serialises concurrent queries on the connection
-// instead, which is the pre-mux behaviour.
+// connection warm across queries, so a workload issuing many queries pays
+// one handshake instead of one per query. Concurrent queries share the
+// connection as independent streams. A Client is safe for concurrent use.
 type Client struct {
-	addr       string
-	timeout    time.Duration
-	sequential bool
-
-	mu     sync.Mutex
-	conn   net.Conn // warm sequential-protocol connection
-	mc     *muxConn
-	legacy bool // remote negotiated down; stick to the sequential protocol
-	wg     sync.WaitGroup
+	addr    string
+	timeout time.Duration
+	mux     atomic.Pointer[muxTable] // swapped for a fresh table by Close
 }
 
 // NewClient returns a client for the peer at addr. timeout bounds each
@@ -92,156 +79,23 @@ func NewClient(addr string, timeout time.Duration) *Client {
 	if timeout == 0 {
 		timeout = DefaultOptions().CallTimeout
 	}
-	return &Client{addr: addr, timeout: timeout}
-}
-
-// NewSequentialClient returns a client pinned to the sequential one-call-
-// per-connection protocol, skipping mux negotiation entirely. Kept for
-// benchmarks against the pre-mux transport and for remotes known to predate
-// it (saves the hello round trip the negotiation would spend discovering
-// that).
-func NewSequentialClient(addr string, timeout time.Duration) *Client {
-	c := NewClient(addr, timeout)
-	c.sequential = true
+	c := &Client{addr: addr, timeout: timeout}
+	c.mux.Store(newMuxTable(timeout, timeout))
 	return c
 }
 
 // Close tears down the warm connection, if any, failing any in-flight
 // streams. The client stays usable: the next query redials.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	mc := c.mc
-	conn := c.conn
-	c.mc = nil
-	c.conn = nil
-	c.mu.Unlock()
-	if mc != nil {
-		mc.fail(errMuxClosed)
-	}
-	var err error
-	if conn != nil {
-		err = conn.Close()
-	}
-	c.wg.Wait() // the mux read loop exits once its connection is closed
-	return err
+	c.mux.Swap(newMuxTable(c.timeout, c.timeout)).close()
+	return nil
 }
 
-// do performs one exchange: as a stream on the shared mux connection when
-// the remote speaks the protocol, over the warm sequential connection
-// otherwise. A reused connection that fails with a non-timeout error is
-// assumed stale (the peer restarted since it was parked) and the exchange
-// is repeated once on a fresh dial — for a mux connection that means a
-// fresh negotiation, so a remote that restarted with a different protocol
-// version is rediscovered rather than assumed.
+// do performs one exchange as a stream on the warm connection; a connection
+// gone stale since the last query (the peer restarted) is redialled within
+// the same exchange.
 func (c *Client) do(call *wire.Call) (*wire.Reply, error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		mc, reused, err := c.muxTransport()
-		if err != nil {
-			return nil, err
-		}
-		if mc == nil {
-			break // sequential protocol
-		}
-		reply, err := mc.call(call, c.timeout)
-		if err == nil {
-			return reply, nil
-		}
-		if !reused || isTimeout(err) {
-			return nil, err
-		}
-		c.mu.Lock()
-		if c.mc == mc {
-			c.mc = nil
-		}
-		c.mu.Unlock()
-	}
-	return c.doSequential(call)
-}
-
-// muxTransport returns the live mux connection, negotiating one on first
-// use. nil with no error means the client runs the sequential protocol —
-// pinned, or discovered from the remote's answer to the hello. reused
-// reports whether the connection predates this call (and so may be stale).
-//
-//ripplevet:transport
-func (c *Client) muxTransport() (mc *muxConn, reused bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sequential || c.legacy {
-		return nil, false, nil
-	}
-	if c.mc != nil && !c.mc.isDead() {
-		return c.mc, true, nil
-	}
-	c.mc = nil
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-	if err != nil {
-		return nil, false, err
-	}
-	ver, err := muxHandshake(conn, c.timeout)
-	if err != nil {
-		conn.Close()
-		var verr *wire.VersionError
-		if isTimeout(err) || errors.As(err, &verr) {
-			return nil, false, err // hung or older-codec remote, not a legacy one
-		}
-		c.legacy = true // pre-mux remote dropped the hello
-		return nil, false, nil
-	}
-	if ver == 0 {
-		// The remote declined multiplexing; the sequential protocol
-		// continues on this same connection, so park it warm.
-		c.legacy = true
-		if c.conn != nil {
-			c.conn.Close()
-		}
-		c.conn = conn
-		return nil, false, nil
-	}
-	m := newMuxConn(conn, c.timeout)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		m.readLoop()
-	}()
-	c.mc = m
-	return m, false, nil
-}
-
-// doSequential is the pre-mux exchange over the warm sequential connection,
-// dialling on first use. Concurrent queries serialise on the connection.
-//
-//ripplevet:transport
-func (c *Client) doSequential(call *wire.Call) (*wire.Reply, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	reused := c.conn != nil
-	if c.conn == nil {
-		conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-		if err != nil {
-			return nil, err
-		}
-		c.conn = conn
-	}
-	reply, err := roundTrip(c.conn, call, c.timeout)
-	if err != nil {
-		c.conn.Close()
-		c.conn = nil
-		if !reused || isTimeout(err) {
-			return nil, err
-		}
-		conn, derr := net.DialTimeout("tcp", c.addr, c.timeout)
-		if derr != nil {
-			return nil, derr
-		}
-		reply, err = roundTrip(conn, call, c.timeout)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		c.conn = conn
-	}
-	return reply, nil
+	return c.mux.Load().call(c.addr, call, c.timeout)
 }
 
 // query is the shared body of the Query variants.

@@ -326,8 +326,8 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 // TestCloseUnblocksHungClients: a client that stalls mid-frame (or sits
-// idle) must not block Close — the serving goroutines are torn down and
-// Close returns promptly.
+// idle, before or after its hello) must not block Close — the serving
+// goroutines are torn down and Close returns promptly.
 func TestCloseUnblocksHungClients(t *testing.T) {
 	opts := quietOpts(t)
 	opts.IdleTimeout = 30 * time.Second // deadline alone must not be what saves Close
@@ -337,18 +337,23 @@ func TestCloseUnblocksHungClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One idle client, one stalled mid-frame.
-	idle, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	// One client idle before its hello, one idle after it, one stalled
+	// mid-frame.
+	var conns []net.Conn
+	for i := 0; i < 3; i++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conns = append(conns, conn)
 	}
-	defer idle.Close()
-	stalled, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	for _, conn := range conns[1:] {
+		if err := helloForTest(conn); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer stalled.Close()
-	if _, err := stalled.Write([]byte{0, 0}); err != nil { // half a length prefix, then silence
+	if _, err := conns[2].Write([]byte{0, 0, 0, 1, 0}); err != nil { // part of a frame header, then silence
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let serveConn enter its reads
@@ -370,7 +375,8 @@ func TestCloseUnblocksHungClients(t *testing.T) {
 }
 
 // TestMidFrameStallIsDropped: a connection that goes quiet in the middle of
-// a frame is cut at the read deadline, while an idle one survives it.
+// its hello or of a frame is cut at the read deadline, while an idle one —
+// before its hello or between frames — survives it.
 func TestMidFrameStallIsDropped(t *testing.T) {
 	opts := quietOpts(t)
 	opts.IdleTimeout = 100 * time.Millisecond
@@ -381,40 +387,114 @@ func TestMidFrameStallIsDropped(t *testing.T) {
 	}
 	defer s.Close()
 
-	stalled, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stalled.Close()
-	if _, err := stalled.Write([]byte{0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := stalled.Read(make([]byte, 1)); err == nil {
-		t.Fatal("mid-frame stall was not dropped")
+	for name, prelude := range map[string]func(net.Conn) error{
+		"mid-hello": func(c net.Conn) error { _, err := c.Write([]byte{0x52, 0x50}); return err },
+		"mid-frame": func(c net.Conn) error {
+			if err := helloForTest(c); err != nil {
+				return err
+			}
+			_, err := c.Write([]byte{0, 0})
+			return err
+		},
+	} {
+		stalled, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stalled.Close()
+		if err := prelude(stalled); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := stalled.Read(make([]byte, 1)); err == nil {
+			t.Fatalf("%s stall was not dropped", name)
+		}
 	}
 
-	// An idle connection outlives several deadline periods and still works.
+	// An idle connection outlives several deadline periods before its hello
+	// and again between frames, and still works.
 	idle, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer idle.Close()
 	time.Sleep(350 * time.Millisecond)
+	if err := helloForTest(idle); err != nil {
+		t.Fatalf("idle connection was cut before its hello: %v", err)
+	}
+	time.Sleep(350 * time.Millisecond)
 	params, _ := (topk.WireCodec{}).EncodeParams(topk.UniformLinear(2), 1)
 	if err := writeCallRead(idle, params); err != nil {
-		t.Fatalf("idle connection was cut by the per-message deadline: %v", err)
+		t.Fatalf("idle connection was cut by the per-frame deadline: %v", err)
 	}
 }
 
-// writeCallRead performs one raw RPC on an existing connection.
+// helloForTest runs the client side of the mux handshake on a raw
+// connection.
+func helloForTest(conn net.Conn) error {
+	if err := wire.WriteMuxHello(conn, wire.MuxVersion); err != nil {
+		return err
+	}
+	_, err := wire.ReadMuxHello(conn)
+	return err
+}
+
+// writeCallRead performs one raw RPC as stream 1 on a connection past its
+// hello.
 func writeCallRead(conn net.Conn, params []byte) error {
 	call := &wire.Call{QueryType: "topk", Params: params, Restrict: overlay.Whole(2), R: 0}
-	if err := wire.WriteMessage(conn, call); err != nil {
+	if err := wire.WriteMuxFrame(conn, 1, call); err != nil {
 		return err
 	}
 	var reply wire.Reply
-	return wire.ReadMessage(conn, &reply)
+	stream, err := wire.ReadMuxFrame(conn, &reply)
+	if err != nil {
+		return err
+	}
+	if stream != 1 || reply.Error != "" {
+		return fmt.Errorf("reply on stream %d: %+v", stream, reply)
+	}
+	return nil
+}
+
+// TestPooledDeploymentSurvivesInjectedFaults: drops from the fault injector
+// must not corrupt the shared peer connections — queries keep succeeding and
+// the answers stay exact once retries recover the links.
+func TestPooledDeploymentSurvivesInjectedFaults(t *testing.T) {
+	ts := dataset.Uniform(800, 2, 9)
+	net := midas.Build(8, midas.Options{Dims: 2, Seed: 13})
+	overlay.Load(net, ts)
+	opts := quietOpts(t)
+	opts.Faults = faults.New(faults.Config{Seed: 21, DropRate: 0.3})
+	servers, _, err := DeployOpts(net, opts, topk.WireCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}()
+	f := topk.UniformLinear(2)
+	params := topkParams(t, 2, 48)
+	want := topk.Brute(ts, f, 48)
+	for i := 0; i < 5; i++ {
+		res, err := QueryDetailed(servers[0].Addr(), "topk", params, 2, 1<<20, 0)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if res.Partial() {
+			// A drop rate of 0.3 with retries can still exhaust a link; a
+			// partial answer is legal, just not comparable to Brute.
+			continue
+		}
+		got := topk.Select(res.Answers, f, 48)
+		for j := range want {
+			if got[j].ID != want[j].ID {
+				t.Fatalf("query %d: rank %d = %v, want %v", i, j, got[j], want[j])
+			}
+		}
+	}
 }
 
 func TestLinkSpecKeyFallsBackToAddr(t *testing.T) {

@@ -12,9 +12,6 @@ import (
 type instruments struct {
 	dials           *metrics.Counter
 	dialFailures    *metrics.Counter
-	connReuses      *metrics.Counter
-	evictions       *metrics.Counter
-	staleConns      *metrics.Counter
 	retries         *metrics.Counter
 	deadlines       *metrics.Counter
 	backoffs        *metrics.Counter
@@ -23,7 +20,6 @@ type instruments struct {
 	failovers       *metrics.Counter
 	unrecoverable   *metrics.Counter
 	muxStreams      *metrics.Counter
-	muxFallbacks    *metrics.Counter
 	overloads       *metrics.Counter
 	inflight        *metrics.Gauge
 	storageTuples   *metrics.Gauge
@@ -48,9 +44,6 @@ func newInstruments(r *metrics.Registry) instruments {
 	return instruments{
 		dials:           r.Counter("ripple_netpeer_dials_total", "TCP dial attempts to neighbour peers"),
 		dialFailures:    r.Counter("ripple_netpeer_dial_failures_total", "TCP dial attempts that failed"),
-		connReuses:      r.Counter("ripple_netpeer_conn_reuses_total", "RPCs served over a pooled connection instead of a fresh dial"),
-		evictions:       r.Counter("ripple_netpeer_pool_evictions_total", "pooled connections closed by cap, idle expiry, or shutdown"),
-		staleConns:      r.Counter("ripple_netpeer_stale_conns_total", "pooled connections found dead mid-RPC and replaced by a fresh dial"),
 		retries:         r.Counter("ripple_netpeer_retries_total", "extra RPC attempts spent recovering links"),
 		deadlines:       r.Counter("ripple_netpeer_deadline_timeouts_total", "RPC attempts abandoned on a dial/call deadline"),
 		backoffs:        r.Counter("ripple_netpeer_backoffs_total", "backoff sleeps taken before retries"),
@@ -59,7 +52,6 @@ func newInstruments(r *metrics.Registry) instruments {
 		failovers:       r.Counter("ripple_netpeer_replica_failovers_total", "replica dispatches attempted during recovery, successful or not"),
 		unrecoverable:   r.Counter("ripple_netpeer_unrecoverable_regions_total", "lost subtrees no replica could serve (the region lands in FailedRegions)"),
 		muxStreams:      r.Counter("ripple_netpeer_mux_streams_total", "calls multiplexed as streams onto a shared peer connection"),
-		muxFallbacks:    r.Counter("ripple_netpeer_mux_fallbacks_total", "remotes that negotiated down to the sequential protocol"),
 		overloads:       r.Counter("ripple_netpeer_overload_rejections_total", "calls rejected by admission control (worker pool and queue full)"),
 		inflight:        r.Gauge("ripple_netpeer_inflight_streams", "multiplexed calls admitted and not yet replied to"),
 		storageTuples:   r.Gauge("ripple_storage_tuples", "tuples in the peer's primary-share store"),

@@ -2,6 +2,7 @@ package netpeer
 
 import (
 	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,20 +86,50 @@ func TestMuxConcurrentQueriesShareOneConnection(t *testing.T) {
 			t.Fatalf("concurrent query %d: %v", i, err)
 		}
 	}
-	c.mu.Lock()
-	mc, seqConn := c.mc, c.conn
-	c.mu.Unlock()
-	if mc == nil || seqConn != nil {
-		t.Fatalf("client transport: mc=%v conn=%v, want a mux connection and no sequential one", mc, seqConn)
+	if clientConn(c) == nil {
+		t.Fatal("client holds no live connection after concurrent queries")
 	}
-	if v := reg.Counter("ripple_netpeer_mux_streams_total", "").Value(); v == 0 {
+	streams := reg.Counter("ripple_netpeer_mux_streams_total", "")
+	if streams.Value() == 0 {
 		t.Fatal("no inter-peer calls were multiplexed")
 	}
-	if v := reg.Counter("ripple_netpeer_mux_fallbacks_total", "").Value(); v != 0 {
-		t.Fatalf("%d remotes negotiated down in an all-mux deployment", v)
+	// The first round warmed every link: repeat queries ride the same peer
+	// connections, dialling nothing new.
+	dials := reg.Counter("ripple_netpeer_dials_total", "")
+	warmDials, warmStreams := dials.Value(), streams.Value()
+	for i := 0; i < 3; i++ {
+		if _, _, err := c.Query("topk", params, 2, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dials.Value(); got != warmDials {
+		t.Fatalf("repeat queries dialled %d fresh connections (total %d, warm %d)", got-warmDials, got, warmDials)
+	}
+	if streams.Value() == warmStreams {
+		t.Fatal("repeat queries sent no streams")
 	}
 	// Every admitted stream must have been released.
 	waitGaugeZero(t, reg.Gauge("ripple_netpeer_inflight_streams", ""))
+}
+
+// clientConn returns the client's settled, live connection to its peer, or
+// nil when it holds none.
+func clientConn(c *Client) *muxConn {
+	tab := c.mux.Load()
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	e := tab.conns[c.addr]
+	if e == nil {
+		return nil
+	}
+	select {
+	case <-e.done:
+		if e.err == nil && !e.mc.isDead() {
+			return e.mc
+		}
+	default:
+	}
+	return nil
 }
 
 func waitGaugeZero(t *testing.T, g *metrics.Gauge) {
@@ -225,162 +256,203 @@ func TestMuxDeadConnectionFailsAllStreams(t *testing.T) {
 	}
 }
 
-// legacyFakePeer is a pre-mux peer: it speaks only length-prefixed
-// sequential frames and drops any connection that sends something else —
-// exactly what an old binary does when a hello arrives and reads as an
-// oversized frame. It answers every call with the given reply.
-func legacyFakePeer(t *testing.T, reply *wire.Reply) string {
+// dropFirstHello listens on a fresh loopback address, drops the first
+// connection once its hello arrives — a peer shutting down or restarting
+// mid-handshake — and then stops listening, leaving the address free for a
+// real Server. The returned channel closes once the address is free.
+func dropFirstHello(t *testing.T) (string, <-chan struct{}) {
 	t.Helper()
 	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
+	free := make(chan struct{})
 	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn gonet.Conn) {
-				defer conn.Close()
-				for {
-					var call wire.Call
-					if err := wire.ReadMessage(conn, &call); err != nil {
-						return // a mux hello lands here as an oversized frame
-					}
-					if err := wire.WriteMessage(conn, reply); err != nil {
-						return
-					}
-				}
-			}(conn)
+		defer close(free)
+		if conn, err := ln.Accept(); err == nil {
+			io.ReadFull(conn, make([]byte, 8))
+			conn.Close()
 		}
+		ln.Close()
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), free
 }
 
-// TestClientFallsBackToLegacyPeer: a mux client whose hello is dropped must
-// rediscover the peer as legacy and complete the query with sequential
-// framing on a fresh connection.
-func TestClientFallsBackToLegacyPeer(t *testing.T) {
-	addr := legacyFakePeer(t, &wire.Reply{
-		Answers:    []dataset.Tuple{{ID: 77}},
-		Completion: 1,
-		QueryMsgs:  1,
-		Peers:      []string{"fake"},
-	})
-	c := NewClient(addr, 2*time.Second)
-	defer c.Close()
-	answers, stats, err := c.Query("topk", topkParams(t, 2, 1), 2, 0)
-	if err != nil {
-		t.Fatalf("query against legacy peer: %v", err)
+// startAt starts a single whole-domain peer on addr.
+func startAt(t *testing.T, addr string, opts Options, ts []dataset.Tuple) *Server {
+	t.Helper()
+	srv := NewServerOpts(Config{ID: "b", Zone: overlay.Whole(2), Tuples: ts}, opts, topk.WireCodec{})
+	if _, err := srv.Start(addr); err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
 	}
-	if len(answers) != 1 || answers[0].ID != 77 || stats.PeersReached() != 1 {
-		t.Fatalf("legacy fallback returned %v / %+v", answers, stats)
-	}
-	c.mu.Lock()
-	legacy, mc := c.legacy, c.mc
-	c.mu.Unlock()
-	if !legacy || mc != nil {
-		t.Fatalf("client state after fallback: legacy=%v mc=%v", legacy, mc)
-	}
-	// Later queries stay on the sequential path without renegotiating.
-	if _, _, err := c.Query("topk", topkParams(t, 2, 1), 2, 0); err != nil {
-		t.Fatalf("second query after fallback: %v", err)
-	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
 }
 
-// TestServerFallsBackToLegacyPeer: a muxed server calling a pre-mux
-// neighbour must negotiate down for that address and run the call over the
-// legacy pooled path, counting the fallback.
-func TestServerFallsBackToLegacyPeer(t *testing.T) {
-	fakeAddr := legacyFakePeer(t, &wire.Reply{
-		Answers:    []dataset.Tuple{{ID: 88}},
-		Completion: 2,
-		QueryMsgs:  1,
-		Peers:      []string{"fake"},
-	})
+// TestServerRedialsAfterDroppedHello: a neighbour that drops the hello is
+// down, not of another protocol. Once a real peer listens at its address,
+// the caller's next calls ride the mux — nothing pins the address to a
+// fallback path.
+func TestServerRedialsAfterDroppedHello(t *testing.T) {
+	addr, free := dropFirstHello(t)
 	reg := metrics.New()
 	opts := quietOpts(t)
 	opts.Metrics = reg
-	srv := NewServerOpts(Config{
-		ID:     "a",
-		Zone:   overlay.Whole(2),
-		Tuples: dataset.Uniform(40, 2, 51),
-	}, opts, topk.WireCodec{})
-	if _, err := srv.Start("127.0.0.1:0"); err != nil {
+	caller := NewServerOpts(Config{ID: "a", Zone: overlay.Whole(2)}, opts, topk.WireCodec{})
+	if _, err := caller.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	srv.SetLinks([]LinkSpec{{ID: "fake", Addr: fakeAddr, Region: overlay.Whole(2)}})
+	defer caller.Close()
+	caller.SetLinks([]LinkSpec{{ID: "b", Addr: addr, Region: overlay.Whole(2)}})
+	params := topkParams(t, 2, 5)
 
-	res, err := QueryDetailed(srv.Addr(), "topk", topkParams(t, 2, 60), 2, 1<<20, 0)
+	res, err := QueryDetailed(caller.Addr(), "topk", params, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, a := range res.Answers {
-		if a.ID == 88 {
-			found = true
+	if !res.Partial() {
+		t.Fatal("query through a hello-dropping neighbour was not partial")
+	}
+	<-free
+	ts := dataset.Uniform(30, 2, 61)
+	startAt(t, addr, quietOpts(t), ts)
+
+	streams := reg.Counter("ripple_netpeer_mux_streams_total", "")
+	before := streams.Value()
+	want := topk.Brute(ts, topk.UniformLinear(2), 5)
+	for i := 0; i < 3; i++ {
+		res, err := QueryDetailed(caller.Addr(), "topk", params, 2, 0, 0)
+		if err != nil {
+			t.Fatalf("query %d after restart: %v", i, err)
+		}
+		got := topk.Select(res.Answers, topk.UniformLinear(2), 5)
+		if res.Partial() || len(got) != len(want) || got[0].ID != want[0].ID {
+			t.Fatalf("query %d after restart: partial=%v answers %v, want %v", i, res.Partial(), got, want)
 		}
 	}
-	if !found {
-		t.Fatal("legacy neighbour's answer missing from the merged result")
-	}
-	if v := reg.Counter("ripple_netpeer_mux_fallbacks_total", "").Value(); v != 1 {
-		t.Fatalf("mux fallbacks = %d, want 1", v)
-	}
-	if v := reg.Counter("ripple_netpeer_mux_streams_total", "").Value(); v != 0 {
-		t.Fatalf("mux streams = %d toward a legacy-only neighbour", v)
-	}
-	// The discovery must be sticky: a second query spends no new fallback...
-	if _, err := QueryDetailed(srv.Addr(), "topk", topkParams(t, 2, 60), 2, 1<<20, 0); err != nil {
-		t.Fatal(err)
-	}
-	if v := reg.Counter("ripple_netpeer_mux_fallbacks_total", "").Value(); v != 1 {
-		t.Fatalf("mux fallbacks grew to %d; legacy discovery must be sticky", v)
-	}
-	// ...and rides the warm pooled connection.
-	if v := reg.Counter("ripple_netpeer_conn_reuses_total", "").Value(); v == 0 {
-		t.Fatal("legacy path never reused the pooled connection")
+	if v := streams.Value() - before; v != 3 {
+		t.Fatalf("%d of 3 calls rode the mux after the neighbour came back", v)
 	}
 }
 
-// TestMuxDisabledServerNegotiatesDown: a DisableMux server answers the hello
-// with version 0 and the connection continues sequentially — no redial, no
-// error, same answers.
-func TestMuxDisabledServerNegotiatesDown(t *testing.T) {
-	ts := dataset.Uniform(300, 2, 53)
-	opts := quietOpts(t)
-	opts.DisableMux = true
-	srv := NewServerOpts(Config{ID: "seq", Zone: overlay.Whole(2), Tuples: ts}, opts, topk.WireCodec{})
-	if _, err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	f := topk.UniformLinear(2)
-	want := topk.Brute(ts, f, 7)
-	c := NewClient(srv.Addr(), 2*time.Second)
+// TestClientRedialsAfterDroppedHello: the Client counterpart — a dropped
+// hello fails that query only, and once a real peer listens at the address
+// the client's queries arrive as mux streams (the peer's queue-wait
+// histogram observes every admitted stream).
+func TestClientRedialsAfterDroppedHello(t *testing.T) {
+	addr, free := dropFirstHello(t)
+	c := NewClient(addr, 2*time.Second)
 	defer c.Close()
-	answers, _, err := c.Query("topk", topkParams(t, 2, 7), 2, 0)
+	params := topkParams(t, 2, 5)
+	if _, _, err := c.Query("topk", params, 2, 0); err == nil {
+		t.Fatal("query through a dropped hello succeeded")
+	}
+	<-free
+	reg := metrics.New()
+	opts := quietOpts(t)
+	opts.Metrics = reg
+	startAt(t, addr, opts, dataset.Uniform(30, 2, 61))
+
+	for i := 0; i < 3; i++ {
+		if _, _, err := c.Query("topk", params, 2, 0); err != nil {
+			t.Fatalf("query %d after restart: %v", i, err)
+		}
+	}
+	served := reg.Histogram("ripple_netpeer_queue_wait_seconds", "", metrics.DefLatencyBuckets)
+	if v := served.Count(); v != 3 {
+		t.Fatalf("peer served %d of 3 queries as mux streams", v)
+	}
+}
+
+// TestExchangeRecoversStaleConn: a connection held across a callee restart is
+// dead; the next call must detect it and complete on a fresh dial within the
+// same attempt — no retry spent.
+func TestExchangeRecoversStaleConn(t *testing.T) {
+	srvB := NewServerOpts(Config{ID: "b", Zone: overlay.Whole(2)}, quietOpts(t), topk.WireCodec{})
+	addr, err := srvB.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := topk.Select(answers, f, 7)
-	for i := range want {
-		if got[i].ID != want[i].ID {
-			t.Fatalf("rank %d = %v, want %v", i, got[i], want[i])
+	reg := metrics.New()
+	opts := quietOpts(t)
+	opts.Metrics = reg
+	caller := NewServerOpts(Config{ID: "a", Zone: overlay.Whole(2)}, opts, topk.WireCodec{})
+	defer caller.mux.close()
+	link := LinkSpec{ID: "b", Addr: addr}
+	call := buildCall("topk", topkParams(t, 2, 3), 2, 0, false, overlay.Region{})
+
+	if _, retries, err := caller.callPeer(link, call); err != nil || retries != 0 {
+		t.Fatalf("warm-up call: retries=%d err=%v", retries, err)
+	}
+	if err := srvB.Close(); err != nil {
+		t.Fatal(err)
+	}
+	startAt(t, addr, quietOpts(t), nil)
+
+	if _, retries, err := caller.callPeer(link, call); err != nil || retries != 0 {
+		t.Fatalf("call across restart: retries=%d err=%v", retries, err)
+	}
+	if v := reg.Counter("ripple_netpeer_dials_total", "").Value(); v != 2 {
+		t.Fatalf("dials = %d, want 2 (warm-up + recovery)", v)
+	}
+}
+
+// TestClientReusesConnection: the initiator-side Client holds one warm
+// connection across queries and recovers transparently when the peer
+// restarts underneath it.
+func TestClientReusesConnection(t *testing.T) {
+	ts := dataset.Uniform(400, 2, 11)
+	net := midas.Build(4, midas.Options{Dims: 2, Seed: 19})
+	overlay.Load(net, ts)
+	servers, _, err := DeployOpts(net, quietOpts(t), topk.WireCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range servers {
+			s.Close()
 		}
+	}()
+	f := topk.UniformLinear(2)
+	params := topkParams(t, 2, 6)
+	want := topk.Brute(ts, f, 6)
+
+	c := NewClient(servers[0].Addr(), 5*time.Second)
+	defer c.Close()
+	var warm *muxConn
+	for i := 0; i < 3; i++ {
+		answers, stats, err := c.Query("topk", params, 2, 1<<20)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		got := topk.Select(answers, f, 6)
+		for j := range want {
+			if got[j].ID != want[j].ID {
+				t.Fatalf("query %d rank %d: %v, want %v", i, j, got[j], want[j])
+			}
+		}
+		if stats.PeersReached() == 0 {
+			t.Fatalf("query %d: bogus stats %+v", i, stats)
+		}
+		mc := clientConn(c)
+		if mc == nil || (warm != nil && mc != warm) {
+			t.Fatalf("query %d: client connection %p, want the warm %p", i, mc, warm)
+		}
+		warm = mc
 	}
-	c.mu.Lock()
-	legacy, mc, conn := c.legacy, c.mc, c.conn
-	c.mu.Unlock()
-	if !legacy || mc != nil {
-		t.Fatalf("client state after version-0 ack: legacy=%v mc=%v", legacy, mc)
+
+	// Restart the initiator peer on the same address: the client's warm
+	// connection is now stale and the next query must redial transparently.
+	addr := servers[0].Addr()
+	if err := servers[0].Close(); err != nil {
+		t.Fatal(err)
 	}
-	if conn == nil {
-		t.Fatal("negotiated-down connection was not kept warm for the sequential path")
+	startAt(t, addr, quietOpts(t), nil)
+	if _, _, err := c.Query("topk", params, 2, 0); err != nil {
+		t.Fatalf("query across restart: %v", err)
+	}
+	if mc := clientConn(c); mc == nil || mc == warm {
+		t.Fatal("client did not replace its stale connection")
 	}
 }
 
@@ -413,11 +485,8 @@ func TestMuxOversizedFrameReportedOnStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteMuxHello(conn, wire.MuxVersion); err != nil {
-		t.Fatal(err)
-	}
-	if ver, err := wire.ReadMuxHello(conn); err != nil || ver != wire.MuxVersion {
-		t.Fatalf("handshake: ver=%d err=%v", ver, err)
+	if err := helloForTest(conn); err != nil {
+		t.Fatalf("handshake: %v", err)
 	}
 	// Hand-build a frame header claiming an over-limit body on stream 5.
 	hdr := []byte{0, 0, 0, 5, 0xff, 0xff, 0xff, 0xff}
@@ -438,19 +507,16 @@ func TestMuxOversizedFrameReportedOnStream(t *testing.T) {
 }
 
 // benchThroughput measures aggregate query throughput through one shared
-// client at the given concurrency. sequential pins both the deployment and
-// the client to the pre-mux one-call-per-connection protocol, which is the
-// baseline the mux columns are compared against. Inter-peer links carry an
-// injected wall-clock delay so a query costs latency, not just loopback
-// CPU: the throughput difference under concurrency is then the transport's
-// ability to overlap that latency across in-flight calls, which is what
-// multiplexing buys on a real network.
-func benchThroughput(b *testing.B, concurrency int, sequential bool) {
+// client at the given concurrency. Inter-peer links carry an injected
+// wall-clock delay so a query costs latency, not just loopback CPU: the
+// throughput gain under concurrency is then the transport's ability to
+// overlap that latency across in-flight calls, which is what multiplexing
+// buys on a real network.
+func benchThroughput(b *testing.B, concurrency int) {
 	net := midas.Build(8, midas.Options{Dims: 2, Seed: 23})
 	overlay.Load(net, dataset.Uniform(500, 2, 29))
 	opts := Options{
-		Logf:       func(string, ...interface{}) {},
-		DisableMux: sequential,
+		Logf: func(string, ...interface{}) {},
 		Faults: faults.New(faults.Config{
 			Seed:      1,
 			DelayRate: 1,
@@ -470,12 +536,7 @@ func benchThroughput(b *testing.B, concurrency int, sequential bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var c *Client
-	if sequential {
-		c = NewSequentialClient(servers[0].Addr(), 0)
-	} else {
-		c = NewClient(servers[0].Addr(), 0)
-	}
+	c := NewClient(servers[0].Addr(), 0)
 	defer c.Close()
 	if _, _, err := c.Query("topk", params, 2, 0); err != nil {
 		b.Fatal(err)
@@ -499,64 +560,90 @@ func benchThroughput(b *testing.B, concurrency int, sequential bool) {
 }
 
 // Throughput tier: ns/op is aggregate wall time per completed query, so
-// queries/s = 1e9 / (ns/op). The mux-vs-sequential pairs at each
-// concurrency are the committed BENCH_PR5.json baseline.
-func BenchmarkMuxThroughputC1(b *testing.B)  { benchThroughput(b, 1, false) }
-func BenchmarkMuxThroughputC8(b *testing.B)  { benchThroughput(b, 8, false) }
-func BenchmarkMuxThroughputC64(b *testing.B) { benchThroughput(b, 64, false) }
-func BenchmarkSeqThroughputC1(b *testing.B)  { benchThroughput(b, 1, true) }
-func BenchmarkSeqThroughputC8(b *testing.B)  { benchThroughput(b, 8, true) }
-func BenchmarkSeqThroughputC64(b *testing.B) { benchThroughput(b, 64, true) }
+// queries/s = 1e9 / (ns/op). The rows are committed in BENCH_PR5.json.
+func BenchmarkMuxThroughputC1(b *testing.B)  { benchThroughput(b, 1) }
+func BenchmarkMuxThroughputC8(b *testing.B)  { benchThroughput(b, 8) }
+func BenchmarkMuxThroughputC64(b *testing.B) { benchThroughput(b, 64) }
 
-// TestMuxVersionOneRejectedBothWays: version 1 framed gob bodies. A client
-// acked version 1 fails with the named *wire.VersionError instead of
-// falling back to the sequential protocol, and a server offered version 1
-// drops the connection without acking.
-func TestMuxVersionOneRejectedBothWays(t *testing.T) {
-	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+// BenchmarkRoundTripPooled measures one full query round trip (r=1 over a
+// small default-options fleet) through a warm Client. The name predates the
+// mux, when it measured the connection pool; the row keeps its committed
+// baseline.
+func BenchmarkRoundTripPooled(b *testing.B) {
+	net := midas.Build(8, midas.Options{Dims: 2, Seed: 23})
+	overlay.Load(net, dataset.Uniform(500, 2, 29))
+	servers, _, err := DeployOpts(net, Options{Logf: func(string, ...interface{}) {}}, topk.WireCodec{})
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if _, err := wire.ReadMuxHello(conn); err == nil {
-				_ = wire.WriteMuxHello(conn, 1) // the client judges the ack
-			}
-			conn.Close()
+	defer func() {
+		for _, s := range servers {
+			s.Close()
 		}
 	}()
-	c := NewClient(ln.Addr().String(), 2*time.Second)
-	defer c.Close()
-	_, _, err = c.Query("topk", topkParams(t, 2, 1), 2, 0)
-	var verr *wire.VersionError
-	if !errors.As(err, &verr) || verr.Version != 1 {
-		t.Fatalf("query against a version-1 peer: err = %v, want *wire.VersionError", err)
-	}
-	c.mu.Lock()
-	legacy := c.legacy
-	c.mu.Unlock()
-	if legacy {
-		t.Fatal("client fell back to the sequential protocol on a version-1 ack")
-	}
-
-	srv := slowServer(t, nil, 0, 2, 2)
-	conn, err := gonet.Dial("tcp", srv.Addr())
+	params, err := topk.WireCodec{}.EncodeParams(topk.UniformLinear(2), 32)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	defer conn.Close()
-	if err := wire.WriteMuxHello(conn, 1); err != nil {
-		t.Fatal(err)
+	c := NewClient(servers[0].Addr(), 0)
+	defer c.Close()
+	if _, _, err := c.Query("topk", params, 2, 1); err != nil {
+		b.Fatal(err)
 	}
-	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		t.Fatal(err)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := c.Query("topk", params, 2, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
-	if ver, err := wire.ReadMuxHello(conn); err == nil {
-		t.Fatalf("server acked a version-1 hello with %d", ver)
+}
+
+// TestMuxVersionOneRejectedBothWays: version 1 framed gob bodies, and
+// version 0 once acked "continue sequentially" — a protocol that no longer
+// exists. A client acked either fails with the named *wire.VersionError, and
+// a server offered either drops the connection without acking.
+func TestMuxVersionOneRejectedBothWays(t *testing.T) {
+	srv := slowServer(t, nil, 0, 2, 2)
+	for _, ver := range []uint32{0, 1} {
+		ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				if _, err := wire.ReadMuxHello(conn); err == nil {
+					_ = wire.WriteMuxHello(conn, ver) // the client judges the ack
+				}
+				conn.Close()
+			}
+		}()
+		c := NewClient(ln.Addr().String(), 2*time.Second)
+		defer c.Close()
+		_, _, err = c.Query("topk", topkParams(t, 2, 1), 2, 0)
+		var verr *wire.VersionError
+		if !errors.As(err, &verr) || verr.Version != ver {
+			t.Fatalf("query against a version-%d peer: err = %v, want *wire.VersionError", ver, err)
+		}
+
+		conn, err := gonet.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := wire.WriteMuxHello(conn, ver); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := wire.ReadMuxHello(conn); err == nil {
+			t.Fatalf("server acked a version-%d hello with %d", ver, got)
+		}
 	}
 }

@@ -1,27 +1,27 @@
 package netpeer
 
-// Client half of the multiplexed transport (wire/mux.go): all concurrent
-// calls to the same remote share one connection. Each call registers a
-// stream in a pending table, writes one tagged frame, and waits on its own
-// channel; a single read loop per connection routes reply frames back by
-// stream ID, in whatever order the remote finishes them. A connection that
-// dies fails every in-flight stream at once — each caller feeds its error
-// into the ordinary per-call retry/backoff policy, so the failure semantics
-// per logical call are exactly the legacy ones.
+// Client half of the peer transport (wire/mux.go): all concurrent calls to
+// the same remote share one connection. Each call registers a stream in a
+// pending table, writes one tagged frame, and waits on its own channel; a
+// single read loop per connection routes reply frames back by stream ID, in
+// whatever order the remote finishes them. A connection that dies fails
+// every in-flight stream at once — each caller feeds its error into its own
+// retry/backoff policy, so failures stay per logical call. A Server and a
+// Client reach their remotes through the same muxTable.
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"ripple/internal/metrics"
 	"ripple/internal/wire"
 )
 
 // streamTimeoutError marks a stream abandoned at its call deadline while the
 // connection itself stayed healthy. It implements net.Error so isTimeout
-// classifies it like a legacy read-deadline expiry: hung peer, not dead peer.
+// classifies it like a read-deadline expiry: hung peer, not dead peer.
 type streamTimeoutError struct{}
 
 func (streamTimeoutError) Error() string   { return "netpeer: mux stream timed out awaiting reply" }
@@ -99,9 +99,8 @@ func (m *muxConn) writeFrame(id uint32, msg wire.Message) error {
 
 // call performs one RPC as a stream on the shared connection. The timeout is
 // enforced here, per stream, rather than as a read deadline on the shared
-// socket: expiry abandons this stream only (hung peer — the legacy repeated-
-// timeout behaviour), while a transport failure kills the connection and
-// fails every stream at once.
+// socket: expiry abandons this stream only (hung peer), while a transport
+// failure kills the connection and fails every stream at once.
 func (m *muxConn) call(call *wire.Call, timeout time.Duration) (*wire.Reply, error) {
 	id, ch, err := m.register()
 	if err != nil {
@@ -169,99 +168,178 @@ func (m *muxConn) isDead() bool {
 }
 
 // muxHandshake sends the hello and reads the ack, all under one deadline so
-// a hung remote surfaces as a retryable timeout rather than a stuck dial.
-// The returned version is 0 when the remote declined multiplexing.
+// a hung remote surfaces as a retryable timeout rather than a stuck dial. The
+// hello is a version check only: an ack naming a version this build cannot
+// decode fails with *wire.VersionError, and anything but an ack — a remote
+// that dropped the hello, say, because it is shutting down — fails like any
+// other dial error, to be retried by the caller's policy.
 //
 //ripplevet:transport
-func muxHandshake(conn net.Conn, timeout time.Duration) (uint32, error) {
+func muxHandshake(conn net.Conn, timeout time.Duration) error {
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return 0, err
+		return err
 	}
 	if err := wire.WriteMuxHello(conn, wire.MuxVersion); err != nil {
-		return 0, err
+		return err
 	}
-	ver, err := wire.ReadMuxHello(conn)
-	if err != nil {
-		return 0, err
+	if _, err := wire.ReadMuxHello(conn); err != nil {
+		return err
 	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		return 0, err
-	}
-	if ver > wire.MuxVersion {
-		ver = wire.MuxVersion // both sides run the minimum
-	}
-	return ver, nil
+	return conn.SetDeadline(time.Time{})
 }
 
-// muxEntry is one address slot in the muxTable: either a settled connection
-// (done closed) or a dial in flight that waiters block on.
+// muxEntry is one address slot in the muxTable: either a settled dial (done
+// closed; mc live unless err is set) or a dial in flight that waiters block
+// on.
 type muxEntry struct {
-	done   chan struct{}
-	mc     *muxConn
-	legacy bool
-	err    error
+	done chan struct{}
+	mc   *muxConn
+	err  error
 }
 
-// muxTable tracks, per remote address, the shared multiplexed connection —
-// or the discovery that the remote only speaks the sequential protocol, in
-// which case calls fall through to the legacy pooled path. Dials are
-// single-flight: concurrent first calls to an address share one handshake.
+// muxTable holds, per remote address, the shared multiplexed connection.
+// Dials are single-flight: concurrent first calls to an address share one
+// handshake. A Server keeps one table for all its neighbours, a Client one
+// for its single peer.
 type muxTable struct {
+	dialTimeout  time.Duration
+	writeTimeout time.Duration
+	dials        *metrics.Counter // nil-safe, like every instrument
+	dialFailures *metrics.Counter
+	streams      *metrics.Counter
+
+	loops sync.WaitGroup // one read loop per live connection
+
 	mu     sync.Mutex
 	conns  map[string]*muxEntry
-	legacy map[string]bool
 	closed bool
 }
 
-func newMuxTable() *muxTable {
+func newMuxTable(dialTimeout, writeTimeout time.Duration) *muxTable {
 	return &muxTable{
-		conns:  make(map[string]*muxEntry),
-		legacy: make(map[string]bool),
+		dialTimeout:  dialTimeout,
+		writeTimeout: writeTimeout,
+		conns:        make(map[string]*muxEntry),
+	}
+}
+
+// call performs one RPC to addr as a stream on the shared connection,
+// dialling one first if needed. A connection that predates the call and
+// fails with anything but a timeout is presumed stale — the remote restarted
+// since it was dialled — and the call is repeated once on a fresh
+// connection, so a restart costs the caller's retry policy nothing. A
+// timeout is surfaced instead: the peer is slow, not the connection stale.
+func (t *muxTable) call(addr string, call *wire.Call, timeout time.Duration) (*wire.Reply, error) {
+	for repeat := false; ; repeat = true {
+		mc, reused, err := t.get(addr)
+		if err != nil {
+			return nil, err
+		}
+		t.streams.Inc()
+		reply, err := mc.call(call, timeout)
+		if err == nil || !reused || repeat || isTimeout(err) {
+			return reply, err
+		}
+	}
+}
+
+// get returns the live connection to addr, dialling one if needed. reused
+// is false only for the call that dialled the connection; for any other the
+// connection may have gone stale since.
+func (t *muxTable) get(addr string) (mc *muxConn, reused bool, err error) {
+	for {
+		e, owner, err := t.claim(addr)
+		if err != nil {
+			return nil, false, err
+		}
+		if owner {
+			mc, err := t.dial(addr, e)
+			return mc, false, err
+		}
+		<-e.done
+		switch {
+		case e.err != nil:
+			return nil, false, e.err
+		case e.mc.isDead():
+			t.drop(addr, e)
+			continue // redial
+		default:
+			return e.mc, true, nil
+		}
 	}
 }
 
 // claim returns the entry for addr. owner=true means the caller must dial,
-// fill the entry, and settle it. legacy=true means the address is known to
-// speak only the sequential protocol.
-func (t *muxTable) claim(addr string) (e *muxEntry, owner, legacy bool, err error) {
+// fill the entry, and settle it.
+func (t *muxTable) claim(addr string) (e *muxEntry, owner bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return nil, false, false, errMuxClosed
-	}
-	if t.legacy[addr] {
-		return nil, false, true, nil
+		return nil, false, errMuxClosed
 	}
 	if e := t.conns[addr]; e != nil {
-		return e, false, false, nil
+		return e, false, nil
 	}
 	e = &muxEntry{done: make(chan struct{})}
 	t.conns[addr] = e
-	return e, true, false, nil
+	return e, true, nil
 }
 
-// settle records the outcome of the owner's dial: legacy addresses move to
-// the sticky legacy set, failed dials vacate the slot for the next attempt.
-// It reports whether the table is still open; a table closed mid-dial means
-// the owner must tear its connection down instead of serving from it.
+// dial connects to addr and runs the handshake into the claimed entry,
+// starting the connection's read loop on success.
+//
+//ripplevet:transport
+func (t *muxTable) dial(addr string, e *muxEntry) (*muxConn, error) {
+	t.dials.Inc()
+	conn, err := net.DialTimeout("tcp", addr, t.dialTimeout)
+	if err != nil {
+		t.dialFailures.Inc()
+		e.err = err
+	} else if err := muxHandshake(conn, t.dialTimeout); err != nil {
+		conn.Close()
+		e.err = err
+	} else {
+		e.mc = newMuxConn(conn, t.writeTimeout)
+	}
+	mc := e.mc
+	if !t.settle(addr, e) {
+		if mc != nil { // the table closed mid-dial
+			mc.fail(errMuxClosed)
+		}
+		return nil, e.err
+	}
+	go func() {
+		defer t.loops.Done()
+		mc.readLoop()
+	}()
+	return mc, nil
+}
+
+// settle publishes the owner's dial outcome and reports whether the owner
+// may serve from the connection. A failed dial — or one that raced with
+// close — vacates the slot for the next attempt; a successful one registers
+// the read loop the owner is about to start, so close waits for it. The
+// entry is released under the lock, so close sees every entry either in
+// flight (its owner will find the table closed here) or settled.
 func (t *muxTable) settle(addr string, e *muxEntry) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e.legacy {
-		if t.conns[addr] == e {
-			delete(t.conns, addr)
-		}
-		t.legacy[addr] = true
-	} else if e.err != nil || t.closed {
-		if t.conns[addr] == e {
-			delete(t.conns, addr)
-		}
+	if t.closed && e.err == nil {
+		e.err = errMuxClosed
 	}
-	return !t.closed
+	if e.err != nil {
+		if t.conns[addr] == e {
+			delete(t.conns, addr)
+		}
+	} else {
+		t.loops.Add(1)
+	}
+	close(e.done)
+	return e.err == nil
 }
 
-// drop vacates addr's slot if it still holds e (a dead or failed entry), so
-// the next caller redials.
+// drop vacates addr's slot if it still holds e (a dead entry), so the next
+// caller redials.
 func (t *muxTable) drop(addr string, e *muxEntry) {
 	t.mu.Lock()
 	if t.conns[addr] == e {
@@ -270,130 +348,28 @@ func (t *muxTable) drop(addr string, e *muxEntry) {
 	t.mu.Unlock()
 }
 
-// close fails every settled connection. Dials still in flight are torn down
-// by their owners, who see the closed table in settle.
+// close fails every settled connection and waits for their read loops.
+// Dials still in flight are torn down by their owners, who see the closed
+// table in settle. Later calls fail with errMuxClosed.
 func (t *muxTable) close() {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
 	t.closed = true
-	entries := make([]*muxEntry, 0, len(t.conns))
+	var live []*muxConn
 	for _, e := range t.conns {
-		entries = append(entries, e)
+		select {
+		case <-e.done: // settled entries still in the table are live dials
+			live = append(live, e.mc)
+		default:
+		}
 	}
 	t.conns = make(map[string]*muxEntry)
 	t.mu.Unlock()
-	for _, e := range entries {
-		select {
-		case <-e.done:
-			if e.mc != nil {
-				e.mc.fail(errMuxClosed)
-			}
-		default:
-		}
+	for _, mc := range live {
+		mc.fail(errMuxClosed)
 	}
+	t.loops.Wait()
 }
 
-// errMuxClosed reports calls attempted after the owning server shut down.
-var errMuxClosed = fmt.Errorf("netpeer: server closed")
-
-// muxFor returns the live muxed connection for addr, dialling and
-// negotiating one if needed. legacy=true means the remote speaks only the
-// sequential protocol and the caller must use the legacy pooled path.
-func (s *Server) muxFor(addr string) (mc *muxConn, legacy bool, err error) {
-	for {
-		e, owner, legacy, err := s.mux.claim(addr)
-		if err != nil {
-			return nil, false, err
-		}
-		if legacy {
-			return nil, true, nil
-		}
-		if owner {
-			return s.dialMux(addr, e)
-		}
-		<-e.done
-		switch {
-		case e.legacy:
-			return nil, true, nil
-		case e.err != nil:
-			return nil, false, e.err
-		case e.mc.isDead():
-			s.mux.drop(addr, e)
-			continue // redial
-		default:
-			return e.mc, false, nil
-		}
-	}
-}
-
-// dialMux dials addr and negotiates the mux protocol into the claimed table
-// entry. A remote that drops the hello (a pre-mux binary rejecting it as an
-// oversized frame) or acks version 0 (mux disabled) is recorded as legacy;
-// on a version-0 ack the half-used connection is handed to the legacy pool,
-// since the sequential protocol continues on it. A handshake timeout is
-// surfaced as a retryable error — a hung peer is not evidence of a legacy
-// one — and so is an ack naming an older codec version (*wire.VersionError):
-// falling back to the sequential protocol would only trade it for a decode
-// error.
-//
-//ripplevet:transport
-func (s *Server) dialMux(addr string, e *muxEntry) (*muxConn, bool, error) {
-	var seqConn net.Conn // ack-0 connection, reusable sequentially
-	s.ins.dials.Inc()
-	conn, err := net.DialTimeout("tcp", addr, s.opts.DialTimeout)
-	if err != nil {
-		s.ins.dialFailures.Inc()
-		e.err = err
-	} else {
-		ver, herr := muxHandshake(conn, s.opts.DialTimeout)
-		var verr *wire.VersionError
-		switch {
-		case herr != nil && (isTimeout(herr) || errors.As(herr, &verr)):
-			conn.Close()
-			e.err = herr
-		case herr != nil:
-			conn.Close()
-			e.legacy = true
-		case ver == 0:
-			seqConn = conn
-			e.legacy = true
-		default:
-			e.mc = newMuxConn(conn, s.opts.WriteTimeout)
-		}
-	}
-	keep := s.mux.settle(addr, e)
-	close(e.done)
-	if !keep {
-		if e.mc != nil {
-			e.mc.fail(errMuxClosed)
-		}
-		if seqConn != nil {
-			seqConn.Close()
-		}
-		return nil, false, errMuxClosed
-	}
-	if e.legacy {
-		s.ins.muxFallbacks.Inc()
-		if seqConn != nil {
-			if s.pool != nil {
-				s.pool.put(addr, seqConn)
-			} else {
-				seqConn.Close()
-			}
-		}
-		return nil, true, nil
-	}
-	if e.err != nil {
-		return nil, false, e.err
-	}
-	mc := e.mc
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		mc.readLoop()
-	}()
-	return mc, false, nil
-}
+// errMuxClosed reports calls attempted after the owning Server or Client
+// closed.
+var errMuxClosed = fmt.Errorf("netpeer: closed")

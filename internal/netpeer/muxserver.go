@@ -37,34 +37,17 @@ type muxOut struct {
 	reply  *wire.Reply
 }
 
-// serveMux serves one multiplexed connection. The sniff in serveConn has
-// consumed the hello's magic; the version word follows. The negotiated
-// version is acked back (0 when this server has multiplexing disabled, in
-// which case the connection continues under the sequential protocol).
+// serveMux serves one connection once serveConn has read the client's
+// hello: it acks with the version both sides run, then demultiplexes frames
+// until the connection dies.
 func (s *Server) serveMux(conn net.Conn, cr *countingReader) {
-	ver, err := wire.ReadMuxVersion(cr) // still under the sniff's read deadline
-	if err != nil {
-		var verr *wire.VersionError
-		if errors.As(err, &verr) {
-			s.opts.Logf("netpeer %s: dropping connection from %s: %v", s.cfg.ID, conn.RemoteAddr(), err)
-		}
-		return
-	}
-	ack := uint32(wire.MuxVersion)
-	if s.opts.DisableMux || ver < ack {
-		ack = 0 // min of the two sides; a client offering 0 gets sequential
-	}
 	if err := conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout)); err != nil {
 		return
 	}
-	if err := wire.WriteMuxHello(conn, ack); err != nil {
+	if err := wire.WriteMuxHello(conn, wire.MuxVersion); err != nil {
 		return
 	}
 	if err := conn.SetWriteDeadline(time.Time{}); err != nil {
-		return
-	}
-	if ack == 0 {
-		s.serveSequential(conn, cr, [4]byte{}, false)
 		return
 	}
 
@@ -98,8 +81,8 @@ func (s *Server) serveMux(conn net.Conn, cr *countingReader) {
 		}()
 	}
 
-	// Reader: this goroutine. Same idle semantics as the sequential loop —
-	// a connection idle between frames re-arms its deadline, one stalled
+	// Reader: this goroutine. Same idle semantics as the hello read — a
+	// connection idle between frames re-arms its deadline, one stalled
 	// mid-frame is dropped.
 	for {
 		var call wire.Call

@@ -110,8 +110,7 @@ type Server struct {
 	codecs    map[string]wire.Codec
 	opts      Options
 	ins       instruments
-	pool      *connPool // nil when Options.DisableConnPool
-	mux       *muxTable // nil when Options.DisableMux
+	mux       *muxTable // outgoing connections to neighbours and replicas
 	ln        net.Listener
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -150,12 +149,8 @@ func NewServerOpts(cfg Config, opts Options, codecs ...wire.Codec) *Server {
 		TTL:      s.opts.CacheTTL,
 		Metrics:  s.opts.Metrics,
 	})
-	if !s.opts.DisableConnPool {
-		s.pool = newConnPool(s.opts.MaxIdleConnsPerPeer, s.opts.IdleConnTimeout, s.ins.evictions)
-	}
-	if !s.opts.DisableMux {
-		s.mux = newMuxTable()
-	}
+	s.mux = newMuxTable(s.opts.DialTimeout, s.opts.WriteTimeout)
+	s.mux.dials, s.mux.dialFailures, s.mux.streams = s.ins.dials, s.ins.dialFailures, s.ins.muxStreams
 	return s
 }
 
@@ -226,12 +221,7 @@ func (s *Server) Close() error {
 	s.once.Do(func() {
 		close(s.closed)
 		err = s.ln.Close()
-		if s.mux != nil {
-			s.mux.close()
-		}
-		if s.pool != nil {
-			s.pool.close()
-		}
+		s.mux.close()
 		s.connMu.Lock()
 		for c := range s.conns {
 			c.Close()
@@ -341,99 +331,37 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// serveConn handles one client connection. The first four bytes decide the
-// protocol: the mux magic opens a multiplexed session (serveMux), anything
-// else is the length prefix of a legacy sequential frame (the magic decodes
-// as an over-limit length, so the two can never collide). The sniff runs
-// under the same idle semantics as every later read: a connection idle
-// before its first frame is re-armed, one stalled mid-prefix is dropped.
+// serveConn handles one client connection. It must open with a mux hello
+// (wire/mux.go), read under the same idle semantics as every later frame: a
+// connection idle before its hello is re-armed, one stalled mid-hello is
+// dropped, and so is one whose first bytes are not a hello or name a version
+// this build cannot decode.
 func (s *Server) serveConn(conn net.Conn) {
 	cr := &countingReader{r: conn}
-	var prefix [4]byte
 	for {
 		cr.n = 0
 		if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
 			return // dead socket; an unarmed deadline would let the goroutine leak
 		}
-		if _, err := io.ReadFull(cr, prefix[:]); err != nil {
-			if isTimeout(err) && cr.n == 0 {
-				select {
-				case <-s.closed:
-					return
-				default:
-					continue // idle client: re-arm the deadline
-				}
-			}
-			return // EOF, broken peer, or mid-frame stall
+		_, err := wire.ReadMuxHello(cr)
+		if err == nil {
+			break
 		}
-		break
-	}
-	if wire.IsMuxPrefix(prefix) {
-		s.serveMux(conn, cr)
-		return
-	}
-	s.serveSequential(conn, cr, prefix, true)
-}
-
-// serveSequential runs the legacy one-call-at-a-time loop: read a call,
-// process it, write the reply, repeat. havePrefix marks that the sniff
-// already consumed the first frame's length prefix (still under the sniff's
-// read deadline); it is false when a mux-capable client negotiated down to
-// this protocol and the next frame starts clean. Each message is read under
-// a deadline: a connection merely idle between messages is re-armed (unless
-// the server is shutting down), while one that stalls in the middle of a
-// frame — a hung or byte-dripping client — is dropped, so serving goroutines
-// cannot leak past Close. An oversized length prefix is answered with the
-// typed frame-size error before the connection is dropped (the frame body
-// cannot be resynchronised).
-func (s *Server) serveSequential(conn net.Conn, cr *countingReader, prefix [4]byte, havePrefix bool) {
-	for {
-		var call wire.Call
-		var err error
-		if havePrefix {
-			havePrefix = false
-			err = wire.ReadMessageBody(cr, prefix, &call)
-		} else {
-			cr.n = 0
-			if derr := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); derr != nil {
+		if isTimeout(err) && cr.n == 0 {
+			select {
+			case <-s.closed:
 				return
+			default:
+				continue // idle client: re-arm the deadline
 			}
-			err = wire.ReadMessage(cr, &call)
 		}
-		if err != nil {
-			if isTimeout(err) && cr.n == 0 {
-				select {
-				case <-s.closed:
-					return
-				default:
-					continue // idle client: re-arm the deadline
-				}
-			}
-			var fse *wire.FrameSizeError
-			if errors.As(err, &fse) {
-				s.writeReply(conn, &wire.Reply{Error: fse.Error()})
-			}
-			return // EOF, broken peer, oversized frame, or mid-frame stall
+		var verr *wire.VersionError
+		if errors.As(err, &verr) {
+			s.opts.Logf("netpeer %s: dropping connection from %s: %v", s.cfg.ID, conn.RemoteAddr(), err)
 		}
-		if err := conn.SetReadDeadline(time.Time{}); err != nil {
-			return
-		}
-		if !s.writeReply(conn, s.safeProcess(&call)) {
-			return
-		}
+		return // EOF, broken peer, not a hello, old version, or mid-hello stall
 	}
-}
-
-// writeReply sends one sequential-protocol reply under the write deadline,
-// reporting whether the connection is still usable.
-func (s *Server) writeReply(conn net.Conn, reply *wire.Reply) bool {
-	if err := conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout)); err != nil {
-		return false
-	}
-	if err := wire.WriteMessage(conn, reply); err != nil {
-		return false
-	}
-	return conn.SetWriteDeadline(time.Time{}) == nil
+	s.serveMux(conn, cr)
 }
 
 // safeProcess shields the server from malformed calls (wrong dimensionality,
@@ -927,8 +855,9 @@ func (s *Server) callPeer(to LinkSpec, call *wire.Call) (*wire.Reply, int, error
 	return nil, retries, lastErr
 }
 
-// callOnce performs a single RPC attempt — over a pooled connection when one
-// is warm — under the configured deadlines, consulting the fault injector.
+// callOnce performs a single RPC attempt — as a stream on the shared
+// connection to the remote — under the configured deadlines, consulting the
+// fault injector.
 func (s *Server) callOnce(to LinkSpec, call *wire.Call, attempt int) (*wire.Reply, error) {
 	crashed := false
 	switch s.opts.Faults.Decide(s.cfg.ID, to.key(), attempt) {
@@ -943,7 +872,7 @@ func (s *Server) callOnce(to LinkSpec, call *wire.Call, attempt int) (*wire.Repl
 	}
 	start := time.Now()
 	defer func() { s.ins.rpcSeconds.Observe(time.Since(start).Seconds()) }()
-	reply, err := s.exchange(to.Addr, call)
+	reply, err := s.mux.call(to.Addr, call, s.opts.CallTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -954,87 +883,6 @@ func (s *Server) callOnce(to LinkSpec, call *wire.Call, attempt int) (*wire.Repl
 		return nil, replyErr(to.key(), reply)
 	}
 	return reply, nil
-}
-
-// exchange performs one request/reply. With multiplexing enabled (the
-// default) the call rides the shared mux connection to addr as one stream;
-// remotes that negotiated down — or predate the mux protocol entirely —
-// fall through to the legacy pooled path. On that path a warm pooled
-// connection is preferred over a fresh dial, and a connection that fails
-// mid-RPC with a non-timeout error is treated as stale — the remote
-// restarted while it was parked — and replaced by a fresh dial within the
-// same attempt, so pooling never costs a retry the fresh-dial path would
-// not have spent. A timeout is surfaced to the retry policy instead: the
-// peer is slow, not the connection stale. Healthy connections are re-parked
-// after the reply.
-//
-//ripplevet:transport
-func (s *Server) exchange(addr string, call *wire.Call) (*wire.Reply, error) {
-	if s.mux != nil {
-		mc, legacy, err := s.muxFor(addr)
-		if err != nil {
-			return nil, err
-		}
-		if !legacy {
-			s.ins.muxStreams.Inc()
-			return mc.call(call, s.opts.CallTimeout)
-		}
-	}
-	if s.pool != nil {
-		if conn := s.pool.get(addr); conn != nil {
-			s.ins.connReuses.Inc()
-			reply, err := roundTrip(conn, call, s.opts.CallTimeout)
-			if err == nil {
-				s.pool.put(addr, conn)
-				return reply, nil
-			}
-			conn.Close()
-			if isTimeout(err) {
-				return nil, err
-			}
-			s.ins.staleConns.Inc()
-		}
-	}
-	s.ins.dials.Inc()
-	conn, err := net.DialTimeout("tcp", addr, s.opts.DialTimeout)
-	if err != nil {
-		s.ins.dialFailures.Inc()
-		return nil, err
-	}
-	reply, err := roundTrip(conn, call, s.opts.CallTimeout)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if s.pool != nil {
-		s.pool.put(addr, conn)
-	} else {
-		if err := conn.Close(); err != nil {
-			s.opts.Logf("netpeer %s: closing connection to %s: %v", s.cfg.ID, addr, err)
-		}
-	}
-	return reply, nil
-}
-
-// roundTrip arms the whole-call deadline, writes the call, reads the reply,
-// and clears the deadline so the connection can be parked for reuse.
-//
-//ripplevet:transport
-func roundTrip(conn net.Conn, call *wire.Call, timeout time.Duration) (*wire.Reply, error) {
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	if err := wire.WriteMessage(conn, call); err != nil {
-		return nil, err
-	}
-	var reply wire.Reply
-	if err := wire.ReadMessage(conn, &reply); err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		return nil, err
-	}
-	return &reply, nil
 }
 
 func sortLinks(links []LinkSpec, proc core.Processor, w overlay.Node) []LinkSpec {
@@ -1085,20 +933,21 @@ func (r *QueryResult) Partial() bool { return r.Stats.Partial }
 // Partiality is surfaced through the stats (Partial, RPCFailures); use
 // QueryDetailed for the lost regions themselves.
 func Query(addr, queryType string, params []byte, dims, r int) ([]dataset.Tuple, sim.Stats, error) {
-	res, err := QueryDetailed(addr, queryType, params, dims, r, 0)
-	if err != nil {
-		return nil, sim.Stats{}, err
-	}
-	return res.Answers, res.Stats, nil
+	c := NewClient(addr, 0)
+	defer c.Close()
+	return c.Query(queryType, params, dims, r)
 }
 
 // QueryDetailed runs a query with an explicit client-side timeout (0 uses
 // the default call timeout) and returns the full result including
 // partial-answer accounting. A reply whose Error field is set — the
 // initiator peer itself failed to process the query — is returned as an
-// error.
+// error. Like every one-shot call below, it runs on a short-lived Client;
+// workloads issuing many queries keep one Client instead.
 func QueryDetailed(addr, queryType string, params []byte, dims, r int, timeout time.Duration) (*QueryResult, error) {
-	return queryCall(addr, queryType, params, dims, r, timeout, false, overlay.Region{})
+	c := NewClient(addr, timeout)
+	defer c.Close()
+	return c.QueryDetailed(queryType, params, dims, r)
 }
 
 // QueryScoped is QueryDetailed restricted to a sub-region of the domain: only
@@ -1106,7 +955,9 @@ func QueryDetailed(addr, queryType string, params []byte, dims, r int, timeout t
 // An empty scope behaves exactly like QueryDetailed. Scope — unlike r or the
 // peer queried — is part of the result's cache identity on the serving peer.
 func QueryScoped(addr, queryType string, params []byte, dims, r int, scope overlay.Region, timeout time.Duration) (*QueryResult, error) {
-	return queryCall(addr, queryType, params, dims, r, timeout, false, scope)
+	c := NewClient(addr, timeout)
+	defer c.Close()
+	return c.QueryScoped(queryType, params, dims, r, scope)
 }
 
 // QueryTraced is QueryDetailed with hop-tree tracing: every peer records its
@@ -1115,7 +966,9 @@ func QueryScoped(addr, queryType string, params []byte, dims, r int, scope overl
 // in-process engines produce for the same overlay and r, with lost subtrees
 // marked.
 func QueryTraced(addr, queryType string, params []byte, dims, r int, timeout time.Duration) (*QueryResult, error) {
-	return queryCall(addr, queryType, params, dims, r, timeout, true, overlay.Region{})
+	c := NewClient(addr, timeout)
+	defer c.Close()
+	return c.QueryTraced(queryType, params, dims, r)
 }
 
 // Insert applies an insert mutation through the peer at addr: the tuple is
@@ -1123,62 +976,18 @@ func QueryTraced(addr, queryType string, params []byte, dims, r int, timeout tim
 // owner's zone replicas, and every peer's result cache is invalidated before
 // the call returns. It reports how many peers applied the op.
 func Insert(addr string, t dataset.Tuple, timeout time.Duration) (int, error) {
-	return mutateCall(addr, wire.OpInsert, t, timeout)
+	c := NewClient(addr, timeout)
+	defer c.Close()
+	return c.Insert(t)
 }
 
 // Delete applies a delete mutation through the peer at addr; the tuple is
 // matched by ID at the owner of t.Vec. It reports how many peers applied the
 // op — zero when no such tuple exists.
 func Delete(addr string, t dataset.Tuple, timeout time.Duration) (int, error) {
-	return mutateCall(addr, wire.OpDelete, t, timeout)
-}
-
-// mutateCall is the one-shot client half of the mutation path.
-//
-//ripplevet:transport
-func mutateCall(addr, op string, t dataset.Tuple, timeout time.Duration) (int, error) {
-	if timeout == 0 {
-		timeout = DefaultOptions().CallTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	reply, err := roundTrip(conn, &wire.Call{Op: op, Tuple: t}, timeout)
-	if err != nil {
-		return 0, err
-	}
-	if reply.Error != "" {
-		return 0, replyErr(addr, reply)
-	}
-	return reply.Acks, nil
-}
-
-// queryCall is the one-shot client half of the wire protocol: it dials the
-// initiator peer, arms a whole-call deadline, and performs one sequential
-// request/reply exchange. It deliberately skips mux negotiation — a single
-// call gains nothing from multiplexing and the hello would cost a round
-// trip; workloads issuing concurrent queries use Client, which negotiates.
-//
-//ripplevet:transport
-func queryCall(addr, queryType string, params []byte, dims, r int, timeout time.Duration, traced bool, scope overlay.Region) (*QueryResult, error) {
-	if timeout == 0 {
-		timeout = DefaultOptions().CallTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	reply, err := roundTrip(conn, buildCall(queryType, params, dims, r, traced, scope), timeout)
-	if err != nil {
-		return nil, err
-	}
-	if reply.Error != "" {
-		return nil, replyErr(addr, reply)
-	}
-	return resultFromReply(reply, traced), nil
+	c := NewClient(addr, timeout)
+	defer c.Close()
+	return c.Delete(t)
 }
 
 // Deploy starts one server per peer of an overlay snapshot on loopback TCP,

@@ -29,6 +29,15 @@ func quietOpts(t *testing.T) Options {
 	}
 }
 
+func topkParams(t *testing.T, d, k int) []byte {
+	t.Helper()
+	params, err := topk.WireCodec{}.EncodeParams(topk.UniformLinear(d), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return params
+}
+
 func deployMIDAS(t *testing.T, size int, ts []dataset.Tuple, dims int) ([]*Server, map[string]string) {
 	t.Helper()
 	net := midas.Build(size, midas.Options{Dims: dims, Seed: 7})

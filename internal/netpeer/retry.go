@@ -73,7 +73,7 @@ type Options struct {
 	CallTimeout time.Duration
 	// WriteTimeout bounds writing a reply back to a caller.
 	WriteTimeout time.Duration
-	// IdleTimeout is serveConn's per-message read deadline. A connection
+	// IdleTimeout is serveConn's per-frame read deadline. A connection
 	// idle between messages is re-armed (after checking for shutdown); one
 	// that stalls in the middle of a frame is dropped, so a hung client
 	// cannot pin a serving goroutine past Close.
@@ -91,16 +91,6 @@ type Options struct {
 	// remaining lost subtrees are recorded as failed regions immediately. Zero
 	// means the default.
 	RecoveryBudget time.Duration
-	// MaxIdleConnsPerPeer caps how many warm TCP connections the peer parks
-	// per remote address between RPCs. Zero means the default.
-	MaxIdleConnsPerPeer int
-	// IdleConnTimeout is how long a parked connection may sit unused before
-	// the pool evicts it. Zero means the default. Remote peers re-arm their
-	// own idle deadlines indefinitely, so any positive value is safe.
-	IdleConnTimeout time.Duration
-	// DisableConnPool reverts to the pre-pool behaviour: every RPC attempt
-	// dials a fresh TCP connection. Mainly for benchmarks and diagnosis.
-	DisableConnPool bool
 	// MaxConcurrentCalls bounds how many calls a mux connection's worker
 	// pool processes at once. Zero means the default.
 	MaxConcurrentCalls int
@@ -109,10 +99,6 @@ type Options struct {
 	// queued, admission control rejects the call with wire.Overloaded instead
 	// of stalling the socket. Zero means the default.
 	MaxCallQueue int
-	// DisableMux reverts to the sequential one-call-per-connection protocol:
-	// the server acks mux hellos with version 0 and outgoing calls use the
-	// legacy pooled path. Mainly for benchmarks and mixed-fleet diagnosis.
-	DisableMux bool
 	// Faults optionally injects deterministic link faults into every
 	// outgoing RPC (see internal/faults). Nil means no faults.
 	Faults *faults.Injector
@@ -157,9 +143,6 @@ func DefaultOptions() Options {
 
 		RecoveryBudget: 10 * time.Second,
 
-		MaxIdleConnsPerPeer: 4,
-		IdleConnTimeout:     30 * time.Second,
-
 		MaxConcurrentCalls: 32,
 		MaxCallQueue:       128,
 	}
@@ -185,12 +168,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RecoveryBudget == 0 {
 		o.RecoveryBudget = d.RecoveryBudget
-	}
-	if o.MaxIdleConnsPerPeer == 0 {
-		o.MaxIdleConnsPerPeer = d.MaxIdleConnsPerPeer
-	}
-	if o.IdleConnTimeout == 0 {
-		o.IdleConnTimeout = d.IdleConnTimeout
 	}
 	if o.MaxConcurrentCalls == 0 {
 		o.MaxConcurrentCalls = d.MaxConcurrentCalls

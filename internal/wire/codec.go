@@ -1,5 +1,5 @@
 // The binary codec shared by the envelope (Call, Reply) and the query
-// families' params and state payloads (DESIGN.md §11.2).
+// families' params and state payloads (DESIGN.md §11.1).
 //
 // Values are written back to back in a fixed order with no field tags:
 //   - unsigned integers and IDs are minimal uvarints; signed integers are

@@ -1,26 +1,18 @@
-// Multiplexed framing: protocol version 2 of the peer transport.
+// Multiplexed framing: protocol version 2 of the peer transport, the only
+// one peers speak.
 //
-// A legacy connection carries strictly alternating call/reply frames, each a
-// 4-byte length prefix plus a body, so one slow call head-of-line-blocks
-// everything behind it. A mux connection interleaves many logical calls: the
-// client opens it with an 8-byte hello (magic + highest supported version),
-// the server answers with the same shape carrying the negotiated version,
-// and from then on every frame is {stream ID, length, body}. Replies come
-// back tagged with the stream they answer, in whatever order subtrees
-// complete.
-//
-// The magic is chosen above MaxFrame, so the first four bytes of a
-// connection are unambiguous: a value that parses as a plausible legacy
-// length prefix is a legacy frame, the magic is a hello. A pre-mux server
-// reading the hello as a length prefix rejects it as oversized and drops the
-// connection, which the client takes as "legacy peer" and retries with the
-// old framing. A mux-aware server with multiplexing disabled acks version 0,
-// meaning "continue sequentially on this same connection".
+// A connection opens with an 8-byte hello from the client (magic + highest
+// supported version); the server answers with the same shape carrying the
+// version both sides will run. The hello is a version check only: from then
+// on every frame is {stream ID, length, body}, many logical calls interleave
+// on the one connection, and replies come back tagged with the stream they
+// answer, in whatever order subtrees complete. A server whose first bytes
+// from a client are not a hello drops the connection.
 //
 // Version 1 carried gob bodies; version 2 carries the binary codec of
-// codec.go. The two cannot decode each other, so a hello or ack naming
-// version 1 fails with a *VersionError instead of a later decode error.
-// Frame bodies are the same under either framing; only the header differs.
+// codec.go. The two cannot decode each other, so a hello or ack naming a
+// version below 2 — version 0 included — fails with a *VersionError instead
+// of a later decode error.
 package wire
 
 import (
@@ -30,18 +22,15 @@ import (
 	"strings"
 )
 
-// muxMagic opens a mux hello. It decodes as an absurd legacy frame length
-// (0x52504C58, "RPLX", ≈1.3 GiB > MaxFrame), so it can never be confused
-// with a real legacy length prefix.
+// muxMagic opens a mux hello ("RPLX").
 const muxMagic = 0x52504C58
 
 // MuxVersion is the mux protocol version this build speaks. The server acks
-// the minimum of its own and the client's version; an ack of 0 means
-// "sequential protocol on this connection".
+// the minimum of its own and the client's version.
 const MuxVersion = 2
 
 // VersionError reports a hello or ack naming a protocol version whose frame
-// bodies this build cannot decode (1..MuxVersion-1: gob bodies).
+// bodies this build cannot decode (anything below MuxVersion).
 type VersionError struct {
 	Version uint32
 }
@@ -51,18 +40,12 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("wire: peer speaks mux version %d, this build needs %d", e.Version, MuxVersion)
 }
 
-// checkVersion rejects the versions below MuxVersion other than 0.
+// checkVersion rejects every version below MuxVersion.
 func checkVersion(v uint32) (uint32, error) {
-	if v != 0 && v < MuxVersion {
+	if v < MuxVersion {
 		return v, &VersionError{Version: v}
 	}
 	return v, nil
-}
-
-// IsMuxPrefix reports whether four bytes read as a legacy length prefix are
-// actually the opening of a mux hello.
-func IsMuxPrefix(prefix [4]byte) bool {
-	return binary.BigEndian.Uint32(prefix[:]) == muxMagic
 }
 
 // WriteMuxHello writes a hello or ack: magic followed by a version word.
@@ -87,17 +70,6 @@ func ReadMuxHello(r io.Reader) (uint32, error) {
 		return 0, fmt.Errorf("wire: not a mux hello")
 	}
 	return checkVersion(binary.BigEndian.Uint32(b[4:]))
-}
-
-// ReadMuxVersion reads the version word of a hello whose magic the caller
-// already consumed (the server sniffs the first four bytes to tell mux from
-// legacy traffic). Like ReadMuxHello it rejects old versions.
-func ReadMuxVersion(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return checkVersion(binary.BigEndian.Uint32(b[:]))
 }
 
 // WriteMuxFrame frames and writes one message on the given stream.

@@ -10,28 +10,21 @@ import (
 	"ripple/internal/overlay"
 )
 
-// The magic must decode as an over-limit legacy length prefix, or the sniff
-// in netpeer could mistake a legacy frame for a hello.
+// The magic must decode as an over-limit length prefix, so no frame of the
+// pre-mux sequential protocol can pass for a hello: a server reading one
+// where the hello belongs fails with a plain error and drops the connection.
 func TestMuxMagicCannotBeALegacyPrefix(t *testing.T) {
 	if muxMagic <= MaxFrame {
 		t.Fatalf("muxMagic %#x must exceed MaxFrame %#x", muxMagic, MaxFrame)
 	}
 	var buf bytes.Buffer
-	if err := WriteMuxHello(&buf, MuxVersion); err != nil {
+	if err := WriteMessage(&buf, &Call{QueryType: "topk", Restrict: overlay.Whole(2)}); err != nil {
 		t.Fatal(err)
 	}
-	var prefix [4]byte
-	copy(prefix[:], buf.Bytes())
-	if !IsMuxPrefix(prefix) {
-		t.Fatal("hello's first four bytes not recognised as the mux prefix")
-	}
-	// A legacy server reading the hello as a frame must reject it as
-	// oversized — that rejection is what drives legacy fallback.
-	var got Call
-	err := ReadMessage(bytes.NewReader(buf.Bytes()), &got)
-	var fse *FrameSizeError
-	if !errors.As(err, &fse) {
-		t.Fatalf("legacy read of a hello: err = %v, want FrameSizeError", err)
+	_, err := ReadMuxHello(bytes.NewReader(buf.Bytes()))
+	var verr *VersionError
+	if err == nil || errors.As(err, &verr) {
+		t.Fatalf("hello read of a sequential frame: err = %v, want a not-a-hello error", err)
 	}
 }
 
@@ -43,12 +36,6 @@ func TestMuxHelloRoundTrip(t *testing.T) {
 	ver, err := ReadMuxHello(bytes.NewReader(buf.Bytes()))
 	if err != nil || ver != 7 {
 		t.Fatalf("hello round trip: ver=%d err=%v", ver, err)
-	}
-	// The server-side path: sniff the magic, then read the version word.
-	r := bytes.NewReader(buf.Bytes()[4:])
-	ver, err = ReadMuxVersion(r)
-	if err != nil || ver != 7 {
-		t.Fatalf("version after sniff: ver=%d err=%v", ver, err)
 	}
 }
 
@@ -80,9 +67,9 @@ func TestMuxFrameRoundTripOutOfOrder(t *testing.T) {
 	}
 }
 
-// Payload bytes must be identical under either framing, so the negotiated
-// protocol changes headers only — a legacy peer sees the exact bytes it
-// always did, and codec state is shared across both paths.
+// Payload bytes must be identical under either framing: a mux frame differs
+// from a plain length-prefixed message (WriteMessage, used to measure reply
+// sizes offline) in its header only.
 func TestMuxFramePayloadMatchesLegacy(t *testing.T) {
 	call := &Call{QueryType: "topk", Params: []byte{1, 2, 3}, Restrict: overlay.Whole(3), R: 5}
 	var legacy, mux bytes.Buffer
@@ -172,26 +159,24 @@ func TestOverloadedClassification(t *testing.T) {
 	}
 }
 
-// A hello or ack naming version 1 announces gob frame bodies, which this
-// build cannot decode: it fails with a named error up front. Version 0 (the
-// sequential protocol) and versions at or above MuxVersion pass.
+// A hello or ack naming a version below MuxVersion fails with a named error
+// up front: version 1 announces gob frame bodies this build cannot decode,
+// and version 0 — once the ack for "continue sequentially" — names a
+// protocol that no longer exists. Versions at or above MuxVersion pass.
 func TestMuxHelloRejectsOldVersion(t *testing.T) {
 	for ver := uint32(0); ver <= MuxVersion+1; ver++ {
 		var buf bytes.Buffer
 		if err := WriteMuxHello(&buf, ver); err != nil {
 			t.Fatal(err)
 		}
-		_, helloErr := ReadMuxHello(bytes.NewReader(buf.Bytes()))
-		_, versionErr := ReadMuxVersion(bytes.NewReader(buf.Bytes()[4:]))
-		for _, err := range []error{helloErr, versionErr} {
-			var verr *VersionError
-			old := ver != 0 && ver < MuxVersion
-			if errors.As(err, &verr) != old || (old && verr.Version != ver) {
-				t.Fatalf("version %d: err = %v", ver, err)
-			}
-			if !old && err != nil {
-				t.Fatalf("version %d rejected: %v", ver, err)
-			}
+		_, err := ReadMuxHello(bytes.NewReader(buf.Bytes()))
+		var verr *VersionError
+		old := ver < MuxVersion
+		if errors.As(err, &verr) != old || (old && verr.Version != ver) {
+			t.Fatalf("version %d: err = %v", ver, err)
+		}
+		if !old && err != nil {
+			t.Fatalf("version %d rejected: %v", ver, err)
 		}
 	}
 }

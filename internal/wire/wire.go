@@ -327,7 +327,9 @@ func writeFrame(w io.Writer, head []byte, msg Message) error {
 	return nil
 }
 
-// WriteMessage frames and writes msg on the sequential protocol.
+// WriteMessage writes msg as one length-prefixed frame. Peers exchange mux
+// frames (WriteMuxFrame); this plain framing measures and replays messages
+// offline.
 func WriteMessage(w io.Writer, msg Message) error {
 	return writeFrame(w, nil, msg)
 }
@@ -378,15 +380,7 @@ func ReadMessage(r io.Reader, msg Message) error {
 	if _, err := io.ReadFull(r, size[:]); err != nil {
 		return err // io.EOF signals a cleanly closed connection
 	}
-	return ReadMessageBody(r, size, msg)
-}
-
-// ReadMessageBody completes ReadMessage after the caller has consumed the
-// 4-byte length prefix itself — the netpeer server sniffs the first four
-// bytes of a connection to dispatch between the sequential and multiplexed
-// protocols (see mux.go) and hands the prefix back here.
-func ReadMessageBody(r io.Reader, prefix [4]byte, msg Message) error {
-	return readBody(r, binary.BigEndian.Uint32(prefix[:]), msg)
+	return readBody(r, binary.BigEndian.Uint32(size[:]), msg)
 }
 
 // readBody reads an n-byte frame body into a pooled buffer and decodes msg

@@ -111,12 +111,10 @@ func TestTraceEquivalenceAcrossRuntimes(t *testing.T) {
 }
 
 // clientTrace runs the traced query over a loopback deployment through a
-// warm netpeer.Client. sequential disables multiplexing fleet-wide (servers
-// ack hellos with version 0 and call each other over the legacy pooled
-// path), so the two settings exercise entirely different transports.
-func clientTrace(t *testing.T, n *midas.Network, initID string, k, r int, sequential bool) *trace.Tree {
+// warm netpeer.Client.
+func clientTrace(t *testing.T, n *midas.Network, initID string, k, r int) *trace.Tree {
 	t.Helper()
-	opts := netpeer.Options{Logf: func(string, ...interface{}) {}, DisableMux: sequential}
+	opts := netpeer.Options{Logf: func(string, ...interface{}) {}}
 	servers, addrs, err := netpeer.DeployOpts(n, opts, topk.WireCodec{})
 	if err != nil {
 		t.Fatal(err)
@@ -130,12 +128,7 @@ func clientTrace(t *testing.T, n *midas.Network, initID string, k, r int, sequen
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c *netpeer.Client
-	if sequential {
-		c = netpeer.NewSequentialClient(addrs[initID], 0)
-	} else {
-		c = netpeer.NewClient(addrs[initID], 0)
-	}
+	c := netpeer.NewClient(addrs[initID], 0)
 	defer c.Close()
 	res, err := c.QueryTraced("topk", params, 3, r)
 	if err != nil {
@@ -146,8 +139,8 @@ func clientTrace(t *testing.T, n *midas.Network, initID string, k, r int, sequen
 
 // TestTraceEquivalenceUnderMux: multiplexing changes how calls share
 // connections, never what the protocol does — the hop tree a muxed fleet
-// reconstructs must be canonically identical, span for span, to the
-// structural engine's and to a fleet pinned to the sequential transport.
+// reconstructs through a warm Client must be canonically identical, span
+// for span, to the structural engine's.
 func TestTraceEquivalenceUnderMux(t *testing.T) {
 	n, proc, _ := traceOverlay()
 	init := n.Peers()[7]
@@ -158,24 +151,18 @@ func TestTraceEquivalenceUnderMux(t *testing.T) {
 			t.Fatalf("r=%d: engine produced no trace", r)
 		}
 		want := engine.Trace.Canonical()
-		muxed := clientTrace(t, n, init.ID(), proc.K, r, false)
-		seq := clientTrace(t, n, init.ID(), proc.K, r, true)
+		muxed := clientTrace(t, n, init.ID(), proc.K, r)
 		if got := muxed.Canonical(); got != want {
 			t.Fatalf("r=%d: muxed tree differs from engine:\nengine: %s\nmux:    %s", r, want, got)
 		}
-		if got := seq.Canonical(); got != want {
-			t.Fatalf("r=%d: sequential tree differs from engine:\nengine: %s\nseq:    %s", r, want, got)
-		}
 		we := spanEdges(engine.Trace)
-		for name, tr := range map[string]*trace.Tree{"mux": muxed, "seq": seq} {
-			ge := spanEdges(tr)
-			if len(ge) != len(we) {
-				t.Fatalf("r=%d: %s has %d spans, engine %d", r, name, len(ge), len(we))
-			}
-			for id, peer := range we {
-				if ge[id] != peer {
-					t.Fatalf("r=%d: %s span %x on peer %q, engine has %q", r, name, id, ge[id], peer)
-				}
+		ge := spanEdges(muxed)
+		if len(ge) != len(we) {
+			t.Fatalf("r=%d: mux has %d spans, engine %d", r, len(ge), len(we))
+		}
+		for id, peer := range we {
+			if ge[id] != peer {
+				t.Fatalf("r=%d: mux span %x on peer %q, engine has %q", r, id, ge[id], peer)
 			}
 		}
 	}
